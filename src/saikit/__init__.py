@@ -12,8 +12,8 @@ from .driver import (AssemblyError, DriverConfig, SingularUpdateError, SolveRepo
                      assemble_solution, smw_inverse_apply, solve_irregular,
                      solve_standard, subsystem_tolerances)
 from .krylov import SolveOutcome, bicgstab
-from .lstsq import (ColumnPattern, DegeneratePatternError, LsWorkspace,
-                    WorkspaceGuardError, ls_augment, ls_drop_columns, ls_init)
+from .lstsq import (DegeneratePatternError, LsWorkspace, WorkspaceGuardError,
+                    ls_augment, ls_drop_columns, ls_init)
 from .psai import PsaiColumnResult, PsaiConfig, PsaiReport, bpsai_column, psai, psai_column, psai_tol
 from .spai import (ColumnResult, SpaiConfig, SpaiReport, spai, spai_candidates,
                    spai_column, spai_mu, spai_profitability)

@@ -10,6 +10,7 @@ numerical failures.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -18,8 +19,8 @@ import numpy as np
 
 from . import driver as _driver
 from .lstsq import DegeneratePatternError, WorkspaceGuardError
-from .psai import PsaiConfig, psai
-from .spai import SpaiConfig, spai
+from .psai import PsaiConfig
+from .spai import SpaiConfig
 from .sparse_core import (CscMatrix, MatrixMarketError, StructurallySingularError,
                           column_stats, matvec, read_matrix_market,
                           write_matrix_market)
@@ -220,25 +221,16 @@ def cmd_split(args) -> int:
 def cmd_precond(args) -> int:
     a = read_matrix_market(args.input)
     sc, pc = _configs_from_args(args)
-    t0 = time.perf_counter()
-    if args.method == "spai":
-        m, rep = spai(a, sc, threads=args.threads)
-        quality = {"n_c": rep.n_c, "max_candidates": rep.max_candidates}
-    else:
-        m, rep = psai(a, pc, threads=args.threads)
-        quality = {"l_m": rep.l_m, "n_failed": len(rep.errors)}
-    setup = time.perf_counter() - t0
+    cfg = _driver.DriverConfig(method=args.method, spai=sc, psai=pc, threads=args.threads)
+    m, stats = _driver.build_preconditioner(a, cfg)
     write_matrix_market(m, args.matrix_out)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "input": args.input,
         "method": args.method,
         "matrix_out": args.matrix_out,
-        "nnz_m": m.nnz,
-        "spar": m.nnz / max(a.nnz, 1),
-        "t_setup": setup,
     }
-    payload.update(quality)
+    payload.update(stats)
     _emit(payload, args)
     return EXIT_OK
 
@@ -283,11 +275,11 @@ def cmd_bench(args) -> int:
     bad = [v for v in wanted if v not in _VARIANTS]
     if bad:
         raise ValueError(f"unknown variants: {bad}")
+    base = _driver_config(args)
     rows = []
     for variant in wanted:
         method = "spai" if "SPAI" in variant else "psai"
-        args.method = method
-        cfg = _driver_config(args)
+        cfg = dataclasses.replace(base, method=method)
         t0 = time.perf_counter()
         try:
             if variant.startswith("S-"):

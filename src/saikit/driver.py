@@ -199,7 +199,8 @@ def subsystem_tolerances(epsilon: float, s: int, c: float, norm_b: float,
     return tol_y, tol_w
 
 
-def _build_preconditioner(a: CscMatrix, cfg: DriverConfig) -> tuple[CscMatrix, dict]:
+def build_preconditioner(a: CscMatrix, cfg: DriverConfig) -> tuple[CscMatrix, dict]:
+    """Build M for ``a`` with ``cfg.method``; returns M and its report stats."""
     t0 = time.perf_counter()
     if cfg.method == "spai":
         m, rep = spai(a, cfg.spai, threads=cfg.threads)
@@ -268,9 +269,11 @@ def _finish_report(a0: CscMatrix, b0: np.ndarray, x_hat: np.ndarray,
 
 
 def _zero_rhs_report(n: int, cfg: DriverConfig, s: int = 0) -> SolveReport:
+    quality = ("n_c", "max_candidates") if cfg.method == "spai" else ("l_m", "n_failed")
+    stats = {"nnz_m": 0, "spar": 0.0, "t_setup": 0.0, "guard_hits": 0}
+    stats.update(dict.fromkeys(quality, 0))
     return SolveReport(x_hat=np.zeros(n), rr=0.0, a=0.0, iter_y=0, iter_w=[],
-                       max_iter_used=0,
-                       preconditioner_stats={"nnz_m": 0, "spar": 0.0, "t_setup": 0.0},
+                       max_iter_used=0, preconditioner_stats=stats,
                        small_system_condition=1.0, converged=True,
                        flag_y="converged", flags_w=[], resid_y=0.0, resid_w=[],
                        s=s, method=cfg.method)
@@ -291,7 +294,7 @@ def solve_standard(a: CscMatrix, b: np.ndarray,
 
 def _standard_on(a0: CscMatrix, b0: np.ndarray, a_w: CscMatrix, b_w: np.ndarray,
                  cfg: DriverConfig) -> SolveReport:
-    m, stats = _build_preconditioner(a_w, cfg)
+    m, stats = build_preconditioner(a_w, cfg)
     outcome = _solve_systems(a_w, m, [b_w], [cfg.epsilon], cfg.max_iter,
                              cfg.threads)[0]
     return _finish_report(a0, b0, outcome.x, cfg, outcome, [], stats, 1.0, 0, None)
@@ -322,7 +325,7 @@ def solve_irregular(a: CscMatrix, b: np.ndarray,
     if sys.s == 0:
         return _standard_on(a, b, a_w, b_w, cfg)
 
-    m, stats = _build_preconditioner(sys.a_tilde, cfg)
+    m, stats = build_preconditioner(sys.a_tilde, cfg)
 
     s = sys.s
     norm_b = float(np.linalg.norm(b_w))

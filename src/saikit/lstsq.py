@@ -1,19 +1,29 @@
-"""Dense QR least-squares kernel for small per-column subproblems.
+"""Dense least-squares kernel for the small per-column subproblems.
 
-Each workspace minimizes ``|| A(:, S) m - e_k ||`` over a growing column
-pattern S. The active row set L holds every nonzero row of A(:, S) plus k
-itself, so the subproblem residual norm equals the full-length residual
-norm exactly. Column augmentation updates the thin QR factor in place
-(Gram-Schmidt with one reorthogonalization pass); dropping columns
-refactorizes from scratch.
+Each workspace minimizes ``|| A(:, S) m - e_k ||`` over a column pattern S.
+The active row set L holds every nonzero row of A(:, S) plus k itself, so
+the subproblem residual norm equals the full-length residual norm exactly.
+Every init, augment and drop gathers A(L, S) in one vectorised pass and
+re-solves from scratch with an unpivoted Householder QR (LAPACK ``dgeqrf``,
+``dormqr``, ``dtrtrs``), columns taken in insertion order.
+
+Exact zeros: only the connected block of row k in A(L, S) is solved. The
+problem decouples into blocks and e_k vanishes off this one, so a pattern
+column that shares no row with the block gets coefficient exactly 0.
+
+Dependent columns: column i of the block is dependent when
+``|R_ii| <= 1e-12 * max |R_jj|`` over the earlier accepted columns, or when
+``|R_ii| == 0`` before any column is accepted. Householder spends a row on a
+dependent column, so the diagonals after it cannot be trusted: only the
+first dependent column is removed and the rest is refactorized, one column
+at a time, which reproduces the greedy choice of incremental Gram-Schmidt.
+Dependent columns get coefficient 0.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dgeqrf, dormqr, dtrtrs
 
 from .sparse_core import CscMatrix, SparseVector
 
@@ -34,16 +44,51 @@ class WorkspaceGuardError(MemoryError):
         self.limit_bytes = limit_bytes
 
 
-@dataclass
-class ColumnPattern:
-    """Sorted column pattern S and its shadow row set L for one column."""
+def _row_block(rows: np.ndarray, cols: np.ndarray, in_rows: np.ndarray,
+               p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column masks of the connected block that holds ``in_rows``.
 
-    cols: np.ndarray
-    rows: np.ndarray
+    ``rows`` and ``cols`` give the row and column position of every entry
+    of the m-by-p subproblem matrix; ``in_rows`` is the seed row mask.
+    """
+    count = np.count_nonzero(in_rows)
+    while True:
+        in_cols = np.zeros(p, dtype=bool)
+        in_cols[cols[in_rows[rows]]] = True
+        in_rows[rows[in_cols[cols]]] = True
+        grown = np.count_nonzero(in_rows)
+        if grown == len(in_rows):      # every row: every nonzero column joins
+            in_cols[cols] = True
+            return in_rows, in_cols
+        if grown == count:
+            return in_rows, in_cols
+        count = grown
+
+
+def _householder_solve(sub: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares coefficients of ``sub`` and the positions they belong to.
+
+    Columns flagged dependent are left out (coefficient 0), one at a time.
+    """
+    active = np.arange(sub.shape[1])
+    while True:
+        qr, tau, _, _ = dgeqrf(sub[:, active])
+        diag = np.abs(np.diagonal(qr))
+        # before any accepted column prev_max is 0, which flags only an exact 0
+        prev_max = np.concatenate([[0.0], np.maximum.accumulate(diag)[:-1]])
+        flagged = np.flatnonzero(diag <= _DEPENDENT_TOL * prev_max)
+        if len(flagged) == 0:
+            break
+        active = np.delete(active, flagged[0])
+    # with more columns than rows the first len(diag) span the block rows
+    r = len(diag)
+    z = dormqr("L", "T", qr[:, :r], tau, rhs[:, None], 1)[0]
+    y = dtrtrs(qr[:r, :r], z[:r])[0]
+    return y[:, 0], active[:r]
 
 
 class LsWorkspace:
-    """Incrementally factorized least-squares state for one target column k."""
+    """Least-squares state for one target column k over the pattern S."""
 
     def __init__(self, a: CscMatrix, k: int, cols,
                  max_workspace_bytes: int | None = None):
@@ -58,31 +103,9 @@ class LsWorkspace:
         self.n_cols = a.n_cols
         self.k = k
         self.max_workspace_bytes = max_workspace_bytes
-
-        row_set = {int(k)}
-        for j in cols:
-            row_set.update(int(r) for r in a.col(j)[0])
-        self._rows = np.array(sorted(row_set), dtype=np.int64)
-        self._row_pos = {int(r): i for i, r in enumerate(self._rows)}
-        m = len(self._rows)
-        self._guard(m, len(cols))
-
-        self._cols: list[int] = []
-        self._ahat = np.zeros((m, 0))
-        self._q = np.zeros((m, 0))
-        self._r_diag: list[float] = []
-        self._r_cols: list[np.ndarray] = []        # columns of R, ragged
-        self._factor_slot: list[int | None] = []   # per pattern column
-        self._ehat = np.zeros(m)
-        self._ehat[self._row_pos[int(k)]] = 1.0
-
-        for j in cols:
-            self._push_column(a, int(j))
-        if all(slot is None for slot in self._factor_slot) and self._all_zero_cols(a, cols):
+        self._fit(a, cols)
+        if not self._ahat.any():
             raise DegeneratePatternError("pattern selects an all-zero submatrix")
-        self._solve()
-
-    # -- internal helpers ---------------------------------------------
 
     def _guard(self, m: int, p: int) -> None:
         if self.max_workspace_bytes is None:
@@ -91,74 +114,39 @@ class LsWorkspace:
         if est > self.max_workspace_bytes:
             raise WorkspaceGuardError(est, self.max_workspace_bytes)
 
-    @staticmethod
-    def _all_zero_cols(a: CscMatrix, cols) -> bool:
-        return all(len(a.col(int(j))[0]) == 0 for j in cols)
+    def _fit(self, a: CscMatrix, cols: np.ndarray) -> None:
+        """Gather A(L, cols), check the guard, then solve on the row-k block."""
+        rows, vals, pos = a.columns(cols)
+        l_rows = np.union1d(rows, [self.k])
+        self._guard(len(l_rows), len(cols))
+        at = np.searchsorted(l_rows, rows)
+        ahat = np.zeros((len(l_rows), len(cols)))
+        ahat[at, pos] = vals
+        ehat = (l_rows == self.k).astype(np.float64)
 
-    def _dense_col(self, a: CscMatrix, j: int) -> np.ndarray:
-        rows, vals = a.col(j)
-        out = np.zeros(len(self._rows))
-        for r, v in zip(rows, vals):
-            out[self._row_pos[int(r)]] = v
-        return out
-
-    def _push_column(self, a: CscMatrix, j: int) -> None:
-        """Append pattern column j and extend the QR factor if independent."""
-        col = self._dense_col(a, j)
-        self._ahat = np.column_stack([self._ahat, col])
-        self._cols.append(j)
-        w = self._q.T @ col
-        v = col - self._q @ w
-        w2 = self._q.T @ v
-        v -= self._q @ w2
-        w += w2
-        rho = float(np.linalg.norm(v))
-        dmax = max(self._r_diag) if self._r_diag else 0.0
-        dependent = rho <= _DEPENDENT_TOL * dmax if dmax > 0.0 else rho == 0.0
-        if dependent:
-            self._factor_slot.append(None)
-            return
-        self._q = np.column_stack([self._q, v / rho])
-        self._r_cols.append(np.concatenate([w, [rho]]))
-        self._r_diag.append(rho)
-        self._factor_slot.append(len(self._r_diag) - 1)
-
-    def _solve(self) -> None:
-        r_active = len(self._r_diag)
-        coeffs = np.zeros(len(self._cols))
-        if r_active:
-            rmat = np.zeros((r_active, r_active))
-            for i, rc in enumerate(self._r_cols):
-                rmat[: i + 1, i] = rc
-            z = self._q.T @ self._ehat
-            y = solve_triangular(rmat, z, lower=False)
-            for i, slot in enumerate(self._factor_slot):
-                if slot is not None:
-                    coeffs[i] = y[slot]
+        coeffs = np.zeros(len(cols))
+        in_rows, in_cols = _row_block(at, pos, ehat != 0.0, len(cols))
+        if in_cols.any():
+            y, owner = _householder_solve(ahat[in_rows][:, in_cols], ehat[in_rows])
+            coeffs[np.flatnonzero(in_cols)[owner]] = y
+        self._cols, self._rows, self._ahat = cols, l_rows, ahat
         self._coeffs = coeffs
-        self._resid_vec = self._ahat @ coeffs - self._ehat
+        self._resid_vec = ahat @ coeffs - ehat
         self.residual_norm = float(np.linalg.norm(self._resid_vec))
 
     # -- public state --------------------------------------------------
 
     @property
-    def pattern(self) -> ColumnPattern:
-        order = np.argsort(self._cols, kind="stable")
-        return ColumnPattern(cols=np.asarray(self._cols, dtype=np.int64)[order],
-                             rows=self._rows.copy())
-
-    @property
     def cols(self) -> np.ndarray:
-        return np.sort(np.asarray(self._cols, dtype=np.int64))
+        return np.sort(self._cols)
 
     @property
     def rows(self) -> np.ndarray:
-        return np.sort(self._rows)
+        return self._rows.copy()
 
     def solution(self) -> SparseVector:
         """Current minimizer as a sparse vector over the column pattern."""
-        return SparseVector(self.n_cols, np.asarray(self._cols, dtype=np.int64),
-                            self._coeffs.copy())
+        return SparseVector(self.n_cols, self._cols.copy(), self._coeffs.copy())
 
     def residual(self) -> SparseVector:
         """Residual A(:, S) m - e_k as a sparse vector over the rows of L."""
@@ -167,9 +155,6 @@ class LsWorkspace:
     def scatter_residual(self, out: np.ndarray) -> None:
         """Write the residual into a dense scratch vector at the L positions."""
         out[self._rows] = self._resid_vec
-
-    def nnz_solution(self) -> int:
-        return int(np.count_nonzero(self._coeffs))
 
     # -- mutation ------------------------------------------------------
 
@@ -180,37 +165,17 @@ class LsWorkspace:
             return
         if new_cols[0] < 0 or new_cols[-1] >= a.n_cols:
             raise ValueError("column index out of range")
-        existing = set(self._cols)
-        if any(int(j) in existing for j in new_cols):
+        if not set(new_cols.tolist()).isdisjoint(self._cols.tolist()):
             raise ValueError("augment columns must be disjoint from the pattern")
-        fresh_rows = set()
-        for j in new_cols:
-            for r in a.col(int(j))[0]:
-                if int(r) not in self._row_pos:
-                    fresh_rows.add(int(r))
-        n_new_rows = len(fresh_rows)
-        self._guard(len(self._rows) + n_new_rows, len(self._cols) + len(new_cols))
-        if n_new_rows:
-            added = np.array(sorted(fresh_rows), dtype=np.int64)
-            base = len(self._rows)
-            for i, r in enumerate(added):
-                self._row_pos[int(r)] = base + i
-            self._rows = np.concatenate([self._rows, added])
-            pad = np.zeros((n_new_rows, self._ahat.shape[1]))
-            # rows outside the old L carry no entries of the old columns
-            self._ahat = np.vstack([self._ahat, pad])
-            self._q = np.vstack([self._q, np.zeros((n_new_rows, self._q.shape[1]))])
-            self._ehat = np.concatenate([self._ehat, np.zeros(n_new_rows)])
-        for j in new_cols:
-            self._push_column(a, int(j))
-        self._solve()
+        self._fit(a, np.concatenate([self._cols, new_cols]))
 
     def drop_columns(self, a: CscMatrix, drop) -> "LsWorkspace":
-        """Re-solve on S minus ``drop`` (refactorization, returns a new workspace)."""
-        drop = set(int(j) for j in np.asarray(drop, dtype=np.int64))
-        if not drop.issubset(set(self._cols)):
+        """Re-solve on S minus ``drop`` (returns a new workspace)."""
+        drop = set(np.asarray(drop, dtype=np.int64).tolist())
+        cols = self._cols.tolist()
+        if not drop.issubset(cols):
             raise ValueError("drop set must be a subset of the pattern")
-        remaining = [j for j in self._cols if j not in drop]
+        remaining = [j for j in cols if j not in drop]
         if not remaining:
             raise DegeneratePatternError("cannot drop every pattern column")
         return LsWorkspace(a, self.k, remaining,

@@ -72,10 +72,7 @@ def psai_tol(delta: float, nnz_mk: int, a_norm1: float) -> float:
 
 def _pattern_step(a: CscMatrix, frontier: np.ndarray) -> np.ndarray:
     """Structural pattern of A applied to a vector supported on ``frontier``."""
-    touched = [a.col(int(j))[0] for j in frontier]
-    if not touched:
-        return np.empty(0, dtype=np.int64)
-    return np.unique(np.concatenate(touched))
+    return np.unique(a.columns(frontier)[0])
 
 
 def psai_column(a: CscMatrix, k: int, cfg: PsaiConfig,
@@ -107,18 +104,14 @@ def psai_column(a: CscMatrix, k: int, cfg: PsaiConfig,
         else:
             tol = float(cfg.tol_policy)
         tol_history.append(tol)
-        coeffs = dict(zip(sol.indices.tolist(), sol.values.tolist()))
-        doomed = []
-        for j in ws.cols:
-            j = int(j)
-            if j == k:
-                continue
-            mag = abs(coeffs.get(j, 0.0))
-            if mag <= tol:
-                doomed.append(j)
-                drops.append((loop, j, mag, tol))
-        if doomed:
-            ws = ws.drop_columns(a, doomed)
+        cols = ws.cols
+        mags = np.zeros(len(cols))
+        mags[np.searchsorted(cols, sol.indices)] = np.abs(sol.values)
+        doomed = (mags <= tol) & (cols != k)
+        drops.extend((loop, int(j), float(mag), tol)
+                     for j, mag in zip(cols[doomed], mags[doomed]))
+        if doomed.any():
+            ws = ws.drop_columns(a, cols[doomed])
 
     if dropping:
         apply_dropping(0)

@@ -81,9 +81,8 @@ def spai_candidates(a: CscMatrix, r_k: SparseVector, s,
         return np.empty(0, dtype=np.int64)
     if at is None:
         at = transpose(a)
-    touched = [at.col(int(i))[0] for i in r_k.indices]
-    n_set = np.unique(np.concatenate(touched)) if touched else np.empty(0, dtype=np.int64)
-    return np.setdiff1d(n_set, np.asarray(s, dtype=np.int64), assume_unique=False)
+    touched = at.columns(r_k.indices)[0]
+    return np.setdiff1d(touched, np.asarray(s, dtype=np.int64))
 
 
 def spai_mu(a: CscMatrix, r_dense: np.ndarray, j: int) -> float:

@@ -152,6 +152,19 @@ class CscMatrix:
         lo, hi = self.col_ptr[j], self.col_ptr[j + 1]
         return self.row_idx[lo:hi], self.values[lo:hi]
 
+    def columns(self, cols) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Entries of A(:, cols), column by column in ``cols`` order.
+
+        Returns their row indices, their values, and for each entry the
+        position in ``cols`` of the column that owns it.
+        """
+        cols = _as_index_array(cols)
+        starts = self.col_ptr[cols]
+        counts = self.col_ptr[cols + 1] - starts
+        pos = np.repeat(np.arange(len(cols), dtype=np.int64), counts)
+        idx = np.arange(len(pos)) + np.repeat(starts - np.cumsum(counts) + counts, counts)
+        return self.row_idx[idx], self.values[idx], pos
+
     def entry_cols(self) -> np.ndarray:
         """Column index of each stored entry, in storage order."""
         return np.repeat(np.arange(self.n_cols, dtype=np.int64), self.per_col_nnz)

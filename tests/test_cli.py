@@ -111,6 +111,18 @@ class TestPrecondSolve:
         assert rc == 0 and report["a"] < 1.0
         assert (tmp_path / "m.mtx").read_bytes() == first
 
+    @pytest.mark.parametrize("method", ["spai", "psai"])
+    def test_precond_stats_keys_match_solve(self, capsys, tmp_path, irregular_mtx, method):
+        path, _ = irregular_mtx
+        rc, precond = run_json(capsys, ["precond", path, "--method", method,
+                                        "--matrix-out", str(tmp_path / "m.mtx")])
+        assert rc == 0
+        _, report = run_json(capsys, ["solve", path, "--method", method])
+        stats = report["preconditioner_stats"]
+        assert set(stats) <= set(precond)
+        assert set(precond) - set(stats) == {"schema_version", "input", "method",
+                                             "matrix_out"}
+
     def test_solve_exit_zero_on_target(self, capsys, tmp_path, irregular_mtx):
         path, a = irregular_mtx
         rc, report = run_json(

@@ -191,6 +191,16 @@ class TestSolveIrregular:
         rep = solve_irregular(CscMatrix.identity(5), np.zeros(5))
         assert rep.rr == 0.0 and rep.converged
 
+    @pytest.mark.parametrize("solve", [solve_irregular, solve_standard])
+    @pytest.mark.parametrize("method", ["spai", "psai"])
+    def test_zero_rhs_stats_have_normal_keys(self, solve, method):
+        a = tridiagonal(6, diag=3.0)
+        cfg = DriverConfig(method=method)
+        zero = solve(a, np.zeros(6), cfg).preconditioner_stats
+        normal = solve(a, np.ones(6), cfg).preconditioner_stats
+        assert set(zero) == set(normal)
+        assert all(zero[key] == 0 for key in ("guard_hits", "nnz_m"))
+
     def test_dominant_irregular_instance(self):
         a = generate_test_matrix("dominant-row", 40, planted_dense_cols=2, seed=3)
         b = matvec(a, np.ones(40))
