@@ -71,15 +71,16 @@ def _householder_solve(sub: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np
     Columns flagged dependent are left out (coefficient 0), one at a time.
     """
     active = np.arange(sub.shape[1])
+    qr, tau, _, _ = dgeqrf(sub)
     while True:
-        qr, tau, _, _ = dgeqrf(sub[:, active])
-        diag = np.abs(np.diagonal(qr))
-        # before any accepted column prev_max is 0, which flags only an exact 0
-        prev_max = np.concatenate([[0.0], np.maximum.accumulate(diag)[:-1]])
-        flagged = np.flatnonzero(diag <= _DEPENDENT_TOL * prev_max)
-        if len(flagged) == 0:
+        diag = np.abs(qr.diagonal())
+        # a running max that includes column i flags the same columns as one
+        # over the earlier columns only: a new max is flagged only when 0
+        dependent = diag <= _DEPENDENT_TOL * np.maximum.accumulate(diag)
+        if not dependent.any():
             break
-        active = np.delete(active, flagged[0])
+        active = np.delete(active, dependent.argmax())
+        qr, tau, _, _ = dgeqrf(sub[:, active])
     # with more columns than rows the first len(diag) span the block rows
     r = len(diag)
     z = dormqr("L", "T", qr[:, :r], tau, rhs[:, None], 1)[0]
@@ -117,7 +118,8 @@ class LsWorkspace:
     def _fit(self, a: CscMatrix, cols: np.ndarray) -> None:
         """Gather A(L, cols), check the guard, then solve on the row-k block."""
         rows, vals, pos = a.columns(cols)
-        l_rows = np.union1d(rows, [self.k])
+        srt = np.sort(np.append(rows, self.k))   # L: one sort, then dedupe
+        l_rows = srt[np.concatenate(([True], srt[1:] != srt[:-1]))]
         self._guard(len(l_rows), len(cols))
         at = np.searchsorted(l_rows, rows)
         ahat = np.zeros((len(l_rows), len(cols)))
@@ -131,8 +133,8 @@ class LsWorkspace:
             coeffs[np.flatnonzero(in_cols)[owner]] = y
         self._cols, self._rows, self._ahat = cols, l_rows, ahat
         self._coeffs = coeffs
-        self._resid_vec = ahat @ coeffs - ehat
-        self.residual_norm = float(np.linalg.norm(self._resid_vec))
+        resid = self._resid_vec = ahat @ coeffs - ehat
+        self.residual_norm = float(np.sqrt(resid.dot(resid)))   # as np.linalg.norm
 
     # -- public state --------------------------------------------------
 
@@ -146,11 +148,11 @@ class LsWorkspace:
 
     def solution(self) -> SparseVector:
         """Current minimizer as a sparse vector over the column pattern."""
-        return SparseVector(self.n_cols, self._cols.copy(), self._coeffs.copy())
+        return SparseVector._from_unique(self.n_cols, self._cols, self._coeffs)
 
     def residual(self) -> SparseVector:
         """Residual A(:, S) m - e_k as a sparse vector over the rows of L."""
-        return SparseVector(self.n_rows, self._rows.copy(), self._resid_vec.copy())
+        return SparseVector._from_unique(self.n_rows, self._rows, self._resid_vec)
 
     def scatter_residual(self, out: np.ndarray) -> None:
         """Write the residual into a dense scratch vector at the L positions."""

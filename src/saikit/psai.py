@@ -119,7 +119,7 @@ def psai_column(a: CscMatrix, k: int, cfg: PsaiConfig,
         if ws.residual_norm <= cfg.delta:
             break
         frontier = _pattern_step(a, frontier)
-        new_cols = np.setdiff1d(frontier, ws.cols, assume_unique=False)
+        new_cols = np.setdiff1d(frontier, ws.cols, assume_unique=True)   # both from np.unique
         if len(new_cols):
             ws.augment(a, new_cols)
         loops_used = loop

@@ -9,7 +9,6 @@ read-only.
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -101,20 +100,17 @@ def spai_profitability(a: CscMatrix, r_dense: np.ndarray, cand,
 
     rho_j^2 = ||r||^2 - (r.(Ae_j))^2 / ||Ae_j||^2, clamped at zero. Zero
     columns cannot improve anything and are reported in the second list.
+    All candidates are scored from one gather of their entries.
     """
+    cand = np.asarray(cand, dtype=np.int64)
+    rows, vals, pos = a.columns(cand)
+    nj2 = (np.bincount(pos, weights=vals * vals, minlength=len(cand))
+           if col_sqnorms is None else col_sqnorms[cand])
+    live = nj2 != 0.0
+    dots = np.bincount(pos, weights=vals * r_dense[rows], minlength=len(cand))[live]
     r2 = float(r_dense @ r_dense)
-    rhos: list[tuple[int, float]] = []
-    skipped: list[int] = []
-    for j in np.asarray(cand, dtype=np.int64):
-        rows, vals = a.col(int(j))
-        nj2 = float(col_sqnorms[j]) if col_sqnorms is not None else float(vals @ vals)
-        if nj2 == 0.0:
-            skipped.append(int(j))
-            continue
-        dot = float(vals @ r_dense[rows])
-        rho2 = max(r2 - dot * dot / nj2, 0.0)
-        rhos.append((int(j), math.sqrt(rho2)))
-    return rhos, skipped
+    rho = np.sqrt(np.maximum(r2 - dots * dots / nj2[live], 0.0))
+    return list(zip(cand[live].tolist(), rho.tolist())), cand[~live].tolist()
 
 
 def _select_profitable(rhos: list[tuple[int, float]], mn: int) -> list[int]:
@@ -202,10 +198,7 @@ def spai(a: CscMatrix, cfg: SpaiConfig | None = None,
     """
     cfg = cfg or SpaiConfig()
     at = transpose(a)
-    col_sqnorms = np.zeros(a.n_cols)
-    for j in range(a.n_cols):
-        _, vals = a.col(j)
-        col_sqnorms[j] = vals @ vals
+    col_sqnorms = np.bincount(a.entry_cols(), weights=a.values ** 2, minlength=a.n_cols)
 
     def run(k: int) -> ColumnResult:
         try:

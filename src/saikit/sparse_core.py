@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import IO, Union
 
 import numpy as np
@@ -161,8 +162,8 @@ class CscMatrix:
         cols = _as_index_array(cols)
         starts = self.col_ptr[cols]
         counts = self.col_ptr[cols + 1] - starts
-        pos = np.repeat(np.arange(len(cols), dtype=np.int64), counts)
-        idx = np.arange(len(pos)) + np.repeat(starts - np.cumsum(counts) + counts, counts)
+        pos = np.arange(len(cols), dtype=np.int64).repeat(counts)
+        idx = np.arange(len(pos)) - (counts.cumsum() - counts - starts)[pos]
         return self.row_idx[idx], self.values[idx], pos
 
     def entry_cols(self) -> np.ndarray:
@@ -171,23 +172,21 @@ class CscMatrix:
 
     def diagonal(self) -> np.ndarray:
         """Dense diagonal, with 0.0 at positions lacking a stored entry."""
-        n = min(self.n_rows, self.n_cols)
-        d = np.zeros(n)
-        for j in range(n):
-            rows, vals = self.col(j)
-            pos = np.searchsorted(rows, j)
-            if pos < len(rows) and rows[pos] == j:
-                d[j] = vals[pos]
+        on = self.row_idx == self.entry_cols()
+        d = np.zeros(min(self.n_rows, self.n_cols))
+        d[self.row_idx[on]] = self.values[on]
         return d
 
     def has_full_structural_diagonal(self) -> bool:
-        n = min(self.n_rows, self.n_cols)
-        for j in range(n):
-            rows, _ = self.col(j)
-            pos = np.searchsorted(rows, j)
-            if pos >= len(rows) or rows[pos] != j:
-                return False
-        return True
+        # rows are unique within a column, so each column holds at most one
+        on = np.count_nonzero(self.row_idx == self.entry_cols())
+        return bool(on == min(self.n_rows, self.n_cols))
+
+    @cached_property
+    def _scipy(self) -> _scipy_csc:
+        """scipy CSC copy, built on first use; its products sum in storage order."""
+        return _scipy_csc((self.values, self.row_idx, self.col_ptr),
+                          shape=(self.n_rows, self.n_cols))
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.n_rows, self.n_cols))
@@ -215,20 +214,19 @@ class SparseVector:
         self.values = _as_value_array(self.values)
         if len(self.indices) != len(self.values):
             raise ValueError("indices and values length mismatch")
-        keep = self.values != 0.0
-        if not keep.all():
-            self.indices = self.indices[keep]
-            self.values = self.values[keep]
-        order = np.argsort(self.indices, kind="stable")
-        if len(order) and np.any(np.diff(order) != 1):
-            self.indices = self.indices[order]
-            self.values = self.values[order]
+        self._purge_and_sort()
         if len(self.indices):
             if self.indices[0] < 0 or self.indices[-1] >= self.dim:
                 raise ValueError("index out of range")
             if np.any(np.diff(self.indices) == 0):
                 raise ValueError("duplicate indices in sparse vector")
-        if not np.all(np.isfinite(self.values)):
+
+    def _purge_and_sort(self) -> None:
+        """Keep the nonzero entries in index order as frozen copies; values must be finite."""
+        keep = self.values.nonzero()[0]
+        keep = keep[self.indices[keep].argsort(kind="stable")]
+        self.indices, self.values = self.indices[keep], self.values[keep]
+        if not np.isfinite(self.values).all():
             raise ValueError("vector values must be finite")
         self.indices.flags.writeable = False
         self.values.flags.writeable = False
@@ -238,6 +236,15 @@ class SparseVector:
         x = np.asarray(x, dtype=np.float64)
         idx = np.flatnonzero(x)
         return cls(len(x), idx, x[idx])
+
+    @classmethod
+    def _from_unique(cls, dim: int, indices: np.ndarray,
+                     values: np.ndarray) -> "SparseVector":
+        """Vector over unique, in-range int64 ``indices``, skipping those two checks."""
+        out = cls.__new__(cls)
+        out.dim, out.indices, out.values = dim, indices, values
+        out._purge_and_sort()
+        return out
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros(self.dim)
@@ -285,10 +292,7 @@ def matvec(a: CscMatrix, x) -> np.ndarray:
     if x.shape != (a.n_cols,):
         raise ValueError(f"dimension mismatch: matrix has {a.n_cols} columns, "
                          f"vector has shape {x.shape}")
-    if a.nnz == 0:
-        return np.zeros(a.n_rows)
-    contrib = a.values * np.repeat(x, a.per_col_nnz)
-    return np.bincount(a.row_idx, weights=contrib, minlength=a.n_rows)
+    return a._scipy @ x
 
 
 def matvec_t(a: CscMatrix, x) -> np.ndarray:
@@ -296,10 +300,7 @@ def matvec_t(a: CscMatrix, x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (a.n_rows,):
         raise ValueError("dimension mismatch in transpose matvec")
-    if a.nnz == 0:
-        return np.zeros(a.n_cols)
-    contrib = a.values * x[a.row_idx]
-    return np.bincount(a.entry_cols(), weights=contrib, minlength=a.n_cols)
+    return a._scipy.T @ x
 
 
 def transpose(a: CscMatrix) -> CscMatrix:
