@@ -38,8 +38,12 @@ EXIT_NUMERICAL = 3
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("input", help="Matrix Market file")
     p.add_argument("--output", help="also write the JSON report here")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--seed", type=int, default=0,
+                   help="only echoed into the solve and bench reports; "
+                        "no computation uses it")
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker threads of the preconditioner's column build; "
+                        "the solves run serially")
 
 
 def _add_method_flags(p: argparse.ArgumentParser) -> None:
@@ -71,7 +75,9 @@ def _add_solve_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--permute", choices=("auto", "always", "never"), default="auto")
     p.add_argument("--rhs", default="ones",
                    help="'ones' (b = A * all-ones) or a Matrix Market vector file")
-    p.add_argument("--precond-file", help="reuse a previously written M")
+    p.add_argument("--precond-file",
+                   help="reuse a previously written M: solve A as stored, "
+                        "with no permutation and no split")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -240,29 +246,17 @@ def cmd_solve(args) -> int:
     b = _load_rhs(a, args.rhs)
     cfg = _driver_config(args)
     if args.precond_file:
-        report = _solve_with_fixed_precond(a, b, cfg, args.precond_file)
+        m = read_matrix_market(args.precond_file)
+        report = _driver.solve_standard(a, b, cfg, m=m)
     else:
         report = _driver.solve_irregular(a, b, cfg)
     payload = report.to_dict()
     payload["seed"] = args.seed
     payload["input"] = args.input
+    if args.precond_file:
+        payload["precond_file"] = args.precond_file
     _emit(payload, args)
     return EXIT_OK if report.a < 1.0 else EXIT_NOT_CONVERGED
-
-
-def _solve_with_fixed_precond(a: CscMatrix, b: np.ndarray,
-                              cfg: _driver.DriverConfig,
-                              precond_path: str) -> _driver.SolveReport:
-    """Single solve of A x = b reusing a stored preconditioner for A."""
-    m = read_matrix_market(precond_path)
-    t0 = time.perf_counter()
-    outcome = _driver._solve_systems(a, m, [b], [cfg.epsilon], cfg.max_iter,
-                                     cfg.threads)[0]
-    stats = {"nnz_m": m.nnz, "spar": m.nnz / max(a.nnz, 1),
-             "t_setup": 0.0, "t_solve": time.perf_counter() - t0,
-             "precond_file": precond_path}
-    return _driver._finish_report(a, b, outcome.x, cfg, outcome, [], stats, 1.0,
-                                  0, None)
 
 
 _VARIANTS = ("S-SPAI", "N-SPAI", "S-PSAI", "N-PSAI")

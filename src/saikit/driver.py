@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -199,6 +198,18 @@ def subsystem_tolerances(epsilon: float, s: int, c: float, norm_b: float,
     return tol_y, tol_w
 
 
+def _preconditioner_stats(method: str, m: CscMatrix | None, a: CscMatrix,
+                         t_setup: float = 0.0, guard_hits: int = 0,
+                         **quality: int) -> dict:
+    """Report stats of M for ``a``, same keys on every path; build-only counts default to 0."""
+    keys = ("n_c", "max_candidates") if method == "spai" else ("l_m", "n_failed")
+    nnz_m = m.nnz if m is not None else 0
+    stats = {"nnz_m": nnz_m, "spar": nnz_m / max(a.nnz, 1), "t_setup": t_setup,
+             "guard_hits": guard_hits}
+    stats.update({k: quality.get(k, 0) for k in keys})
+    return stats
+
+
 def build_preconditioner(a: CscMatrix, cfg: DriverConfig) -> tuple[CscMatrix, dict]:
     """Build M for ``a`` with ``cfg.method``; returns M and its report stats."""
     t0 = time.perf_counter()
@@ -210,29 +221,19 @@ def build_preconditioner(a: CscMatrix, cfg: DriverConfig) -> tuple[CscMatrix, di
         quality = {"l_m": rep.l_m, "n_failed": len(rep.errors)}
     guard_hits = sum(1 for _, msg in rep.errors if "WorkspaceGuardError" in msg)
     setup = time.perf_counter() - t0
-    denom = max(a.nnz, 1)
-    stats = {"nnz_m": m.nnz, "spar": m.nnz / denom, "t_setup": setup,
-             "guard_hits": guard_hits}
-    stats.update(quality)
-    return m, stats
+    return m, _preconditioner_stats(cfg.method, m, a, setup, guard_hits, **quality)
 
 
 def _solve_systems(a: CscMatrix, m: CscMatrix, rhs_list: list[np.ndarray],
-                   tols: list[float], max_iter: int, threads: int,
+                   tols: list[float], max_iter: int,
                    x0_list: list[np.ndarray | None] | None = None,
                    ) -> list[SolveOutcome]:
     apply_op = lambda v: matvec(a, v)
     apply_m = lambda v: matvec(m, v)
     x0_list = x0_list or [None] * len(rhs_list)
-
-    def one(i: int) -> SolveOutcome:
-        return bicgstab(apply_op, rhs_list[i], x0_list[i], apply_precond=apply_m,
-                        tol=tols[i], max_iter=max_iter)
-
-    if threads > 1 and len(rhs_list) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, range(len(rhs_list))))
-    return [one(i) for i in range(len(rhs_list))]
+    return [bicgstab(apply_op, rhs, x0, apply_precond=apply_m, tol=tol,
+                     max_iter=max_iter)
+            for rhs, tol, x0 in zip(rhs_list, tols, x0_list)]
 
 
 def _apply_preprocess(a: CscMatrix, b: np.ndarray,
@@ -268,35 +269,41 @@ def _finish_report(a0: CscMatrix, b0: np.ndarray, x_hat: np.ndarray,
                        s=s, method=cfg.method, posthoc_c=posthoc_c)
 
 
-def _zero_rhs_report(n: int, cfg: DriverConfig, s: int = 0) -> SolveReport:
-    quality = ("n_c", "max_candidates") if cfg.method == "spai" else ("l_m", "n_failed")
-    stats = {"nnz_m": 0, "spar": 0.0, "t_setup": 0.0, "guard_hits": 0}
-    stats.update(dict.fromkeys(quality, 0))
-    return SolveReport(x_hat=np.zeros(n), rr=0.0, a=0.0, iter_y=0, iter_w=[],
+def _zero_rhs_report(a: CscMatrix, cfg: DriverConfig,
+                     m: CscMatrix | None = None) -> SolveReport:
+    stats = _preconditioner_stats(cfg.method, m, a)
+    return SolveReport(x_hat=np.zeros(a.n_cols), rr=0.0, a=0.0, iter_y=0, iter_w=[],
                        max_iter_used=0, preconditioner_stats=stats,
                        small_system_condition=1.0, converged=True,
                        flag_y="converged", flags_w=[], resid_y=0.0, resid_w=[],
-                       s=s, method=cfg.method)
+                       s=0, method=cfg.method)
 
 
-def solve_standard(a: CscMatrix, b: np.ndarray,
-                   cfg: DriverConfig | None = None) -> SolveReport:
-    """Precondition A directly and run a single solve at tolerance epsilon."""
+def solve_standard(a: CscMatrix, b: np.ndarray, cfg: DriverConfig | None = None,
+                   m: CscMatrix | None = None) -> SolveReport:
+    """Precondition A directly and run a single solve at tolerance epsilon.
+
+    ``m``, when given, is a preconditioner already built for ``a`` as
+    stored: the solve uses it as it is, with no permutation and no build,
+    and reports a setup time of 0.
+    """
     cfg = cfg or DriverConfig()
     b = np.asarray(b, dtype=np.float64)
     if not np.all(np.isfinite(b)):
         raise ValueError("right-hand side must be finite")
     if np.linalg.norm(b) == 0.0:
-        return _zero_rhs_report(a.n_cols, cfg)
-    a_w, b_w = _apply_preprocess(a, b, cfg.preprocess)
-    return _standard_on(a, b, a_w, b_w, cfg)
+        return _zero_rhs_report(a, cfg, m)
+    a_w, b_w = (a, b) if m is not None else _apply_preprocess(a, b, cfg.preprocess)
+    return _standard_on(a, b, a_w, b_w, cfg, m)
 
 
 def _standard_on(a0: CscMatrix, b0: np.ndarray, a_w: CscMatrix, b_w: np.ndarray,
-                 cfg: DriverConfig) -> SolveReport:
-    m, stats = build_preconditioner(a_w, cfg)
-    outcome = _solve_systems(a_w, m, [b_w], [cfg.epsilon], cfg.max_iter,
-                             cfg.threads)[0]
+                 cfg: DriverConfig, m: CscMatrix | None = None) -> SolveReport:
+    if m is None:
+        m, stats = build_preconditioner(a_w, cfg)
+    else:
+        stats = _preconditioner_stats(cfg.method, m, a_w)
+    outcome = _solve_systems(a_w, m, [b_w], [cfg.epsilon], cfg.max_iter)[0]
     return _finish_report(a0, b0, outcome.x, cfg, outcome, [], stats, 1.0, 0, None)
 
 
@@ -318,7 +325,7 @@ def solve_irregular(a: CscMatrix, b: np.ndarray,
     if not np.all(np.isfinite(b)):
         raise ValueError("right-hand side must be finite")
     if np.linalg.norm(b) == 0.0:
-        return _zero_rhs_report(a.n_cols, cfg)
+        return _zero_rhs_report(a, cfg)
 
     a_w, b_w = _apply_preprocess(a, b, cfg.preprocess)
     sys = split(a_w, factor=cfg.factor, strategy=cfg.strategy, p_kept=cfg.p_kept)
@@ -338,7 +345,7 @@ def solve_irregular(a: CscMatrix, b: np.ndarray,
     c_now = cfg.c_fixed if cfg.c_policy == "fixed" else 1.0
     tol_y, tol_w = subsystem_tolerances(cfg.epsilon, s, c_now, norm_b, norm_u)
     outcomes = _solve_systems(sys.a_tilde, m, [b_w] + u_dense,
-                              [tol_y] + list(tol_w), cfg.max_iter, cfg.threads)
+                              [tol_y] + list(tol_w), cfg.max_iter)
     outcome_y, outcomes_w = outcomes[0], outcomes[1:]
     posthoc_c = None
 
@@ -374,7 +381,7 @@ def solve_irregular(a: CscMatrix, b: np.ndarray,
                 redo_x0.append(outcomes_w[j].x)
                 redo_idx.append(j)
             redone = _solve_systems(sys.a_tilde, m, redo_rhs, redo_tol,
-                                    cfg.max_iter, cfg.threads, x0_list=redo_x0)
+                                    cfg.max_iter, x0_list=redo_x0)
             progressed = False
             for idx, out in zip(redo_idx, redone):
                 if idx == -1:

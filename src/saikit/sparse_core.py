@@ -10,6 +10,7 @@ Instances are treated as immutable and are safe to share across workers.
 from __future__ import annotations
 
 import os
+import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import IO, Union
@@ -32,6 +33,9 @@ class StructurallySingularError(ValueError):
 
 
 PathOrStream = Union[str, os.PathLike, IO[str]]
+
+# one Matrix Market coordinate entry line: 1-based row, column, value
+_ENTRY_DTYPE = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
 
 
 def _as_index_array(a) -> np.ndarray:
@@ -368,7 +372,14 @@ def read_matrix_market(source: PathOrStream) -> CscMatrix:
     """Parse a coordinate-format, real Matrix Market stream or file.
 
     Symmetric files are expanded to general storage. Duplicate entries are
-    summed. Integer, complex and pattern fields are rejected.
+    summed. Integer, complex and pattern fields are rejected. Every error
+    in the entries, a non-finite value included, raises
+    :class:`MatrixMarketError`. Entry lines are parsed by ``np.loadtxt``:
+    it accepts a trailing ``%`` comment on an entry line, and rejects the
+    Python-only number spellings (``1_000``, non-ASCII digits) and an index
+    written as a float (``2.0``). While it parses, it changes the warning
+    filters inside ``warnings.catch_warnings``, which acts on the whole
+    process, not only on the calling thread.
     """
     stream, owned = _open_text(source, "r")
     try:
@@ -405,30 +416,27 @@ def read_matrix_market(source: PathOrStream) -> CscMatrix:
         if n_rows < 0 or n_cols < 0 or nnz < 0:
             raise MatrixMarketError("negative dimension in size line")
 
-        rows = np.empty(nnz, dtype=np.int64)
-        cols = np.empty(nnz, dtype=np.int64)
-        vals = np.empty(nnz, dtype=np.float64)
-        k = 0
-        for line in stream:
-            stripped = line.strip()
-            if not stripped or stripped.startswith("%"):
-                continue
-            fields = stripped.split()
-            if len(fields) != 3:
-                raise MatrixMarketError(f"malformed entry line: {stripped!r}")
-            if k >= nnz:
-                raise MatrixMarketError("more entries than declared")
-            try:
-                i, j, v = int(fields[0]), int(fields[1]), float(fields[2])
-            except ValueError as exc:
-                raise MatrixMarketError(f"malformed entry line: {stripped!r}") from exc
-            if not (1 <= i <= n_rows and 1 <= j <= n_cols):
-                raise MatrixMarketError(
-                    f"entry ({i}, {j}) outside declared {n_rows}x{n_cols} bounds")
-            rows[k], cols[k], vals[k] = i - 1, j - 1, v
-            k += 1
-        if k != nnz:
-            raise MatrixMarketError(f"declared {nnz} entries, found {k}")
+        try:
+            with warnings.catch_warnings():
+                # An empty body warns. NumPy releases that still parse an
+                # integer field through a float ("2.0" -> 2) warn with a
+                # DeprecationWarning; as an error it becomes a ValueError.
+                warnings.filterwarnings("ignore", message="loadtxt: input contained no data",
+                                        category=UserWarning)
+                warnings.simplefilter("error", DeprecationWarning)
+                entries = np.loadtxt(stream, dtype=_ENTRY_DTYPE, comments="%", ndmin=1)
+        except ValueError as exc:
+            raise MatrixMarketError(f"malformed entry line: {exc}") from exc
+        if len(entries) != nnz:
+            raise MatrixMarketError(f"declared {nnz} entries, found {len(entries)}")
+        rows, cols, vals = entries["i"] - 1, entries["j"] - 1, entries["v"]
+        outside = (rows < 0) | (rows >= n_rows) | (cols < 0) | (cols >= n_cols)
+        if outside.any():
+            k = int(outside.argmax())
+            raise MatrixMarketError(f"entry ({rows[k] + 1}, {cols[k] + 1}) outside "
+                                    f"declared {n_rows}x{n_cols} bounds")
+        if not np.isfinite(vals).all():
+            raise MatrixMarketError("entry values must be finite")
 
         if sym == "symmetric":
             off = rows != cols

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lu as _dense_lu
+from scipy.sparse.csgraph import connected_components
 
 from .sparse_core import CscMatrix, column_stats
 
@@ -85,44 +86,26 @@ def split(a: CscMatrix, factor: float = 10.0, strategy: str = "nearest",
         p_kept = stats.p
     if p_kept < 1:
         raise ValueError("p_kept must be at least 1")
-    irregular = [int(j) for j in stats.irregular_cols
-                 if stats.per_col_nnz[j] > p_kept]
-    if not irregular:
+    irregular = stats.irregular_cols[stats.per_col_nnz[stats.irregular_cols] > p_kept]
+    if not len(irregular):
         return SplitSystem(a_tilde=a, u=CscMatrix.empty(a.n_rows, 0),
                            irregular_cols=np.empty(0, dtype=np.int64),
                            strategy=strategy, p_kept=p_kept)
 
-    keep_rows, keep_vals, keep_cols = [], [], []
-    u_rows, u_vals, u_cols = [], [], []
-    irregular_set = set(irregular)
-    for j in range(a.n_cols):
+    # entries that move to U: all of each irregular column but the kept ones
+    moved = np.zeros(a.nnz, dtype=bool)
+    for j in irregular:
+        lo, hi = a.col_ptr[j], a.col_ptr[j + 1]
         rows, vals = a.col(j)
-        if j in irregular_set:
-            kept = _keep_indices(rows, vals, j, p_kept, strategy)
-            mask = np.zeros(len(rows), dtype=bool)
-            mask[kept] = True
-            keep_rows.append(rows[mask])
-            keep_vals.append(vals[mask])
-            keep_cols.append(np.full(int(mask.sum()), j, dtype=np.int64))
-            u_idx = len(u_cols)
-            u_rows.append(rows[~mask])
-            u_vals.append(vals[~mask])
-            u_cols.append(np.full(int((~mask).sum()), u_idx, dtype=np.int64))
-        else:
-            keep_rows.append(rows)
-            keep_vals.append(vals)
-            keep_cols.append(np.full(len(rows), j, dtype=np.int64))
-
-    a_tilde = CscMatrix.from_coo(a.n_rows, a.n_cols,
-                                 np.concatenate(keep_rows),
-                                 np.concatenate(keep_cols),
-                                 np.concatenate(keep_vals))
-    u = CscMatrix.from_coo(a.n_rows, len(irregular),
-                           np.concatenate(u_rows),
-                           np.concatenate(u_cols),
-                           np.concatenate(u_vals))
-    return SplitSystem(a_tilde=a_tilde, u=u,
-                       irregular_cols=np.asarray(irregular, dtype=np.int64),
+        moved[lo:hi] = True
+        moved[lo + _keep_indices(rows, vals, j, p_kept, strategy)] = False
+    cols = a.entry_cols()
+    kept = ~moved
+    a_tilde = CscMatrix.from_coo(a.n_rows, a.n_cols, a.row_idx[kept], cols[kept],
+                                 a.values[kept])
+    u = CscMatrix.from_coo(a.n_rows, len(irregular), a.row_idx[moved],
+                           np.searchsorted(irregular, cols[moved]), a.values[moved])
+    return SplitSystem(a_tilde=a_tilde, u=u, irregular_cols=irregular,
                        strategy=strategy, p_kept=p_kept)
 
 
@@ -158,32 +141,14 @@ def _col_margins(a: CscMatrix) -> np.ndarray:
 
 
 def _strongly_connected(a: CscMatrix) -> bool:
-    """Strong connectivity of the pattern digraph (edge j -> i per entry)."""
-    n = a.n_rows
-    if n <= 1:
+    """Strong connectivity of the pattern digraph (edge j -> i per entry).
+
+    Reversing every edge keeps strong connectivity, so the CSC orientation
+    of the scipy view does not matter.
+    """
+    if a.n_rows <= 1:
         return True
-
-    def reaches_all(neighbors) -> bool:
-        seen = np.zeros(n, dtype=bool)
-        seen[0] = True
-        stack = [0]
-        count = 1
-        while stack:
-            v = stack.pop()
-            for w in neighbors(v):
-                if not seen[w]:
-                    seen[w] = True
-                    count += 1
-                    stack.append(int(w))
-        return count == n
-
-    fwd_adj = [a.col(j)[0] for j in range(n)]
-    rev_adj = [[] for _ in range(n)]
-    for j in range(n):
-        for i in fwd_adj[j]:
-            rev_adj[int(i)].append(j)
-    return (reaches_all(lambda v: fwd_adj[v])
-            and reaches_all(lambda v: rev_adj[v]))
+    return connected_components(a._scipy, directed=True, connection="strong")[0] == 1
 
 
 def classify(a: CscMatrix,

@@ -3,7 +3,9 @@
 They are kept as they were, less the argument checks and with the matrix
 passed in, as test oracles for ``spai.spai_profitability``,
 ``sparse_core.matvec`` / ``matvec_t`` and ``CscMatrix.diagonal`` /
-``has_full_structural_diagonal``.
+``has_full_structural_diagonal``. The per-line Matrix Market reader, the
+per-column ``split`` and the two-pass DFS behind
+``splitting._strongly_connected`` are kept verbatim, their imports aside.
 """
 
 from __future__ import annotations
@@ -12,7 +14,9 @@ import math
 
 import numpy as np
 
-from saikit.sparse_core import CscMatrix
+from saikit.sparse_core import (CscMatrix, MatrixMarketError, PathOrStream,
+                                UnsupportedFieldError, _open_text, column_stats)
+from saikit.splitting import SplitSystem, _keep_indices
 
 
 def spai_profitability(a: CscMatrix, r_dense: np.ndarray, cand,
@@ -71,3 +75,164 @@ def has_full_structural_diagonal(a: CscMatrix) -> bool:
         if pos >= len(rows) or rows[pos] != j:
             return False
     return True
+
+
+def read_matrix_market(source: PathOrStream) -> CscMatrix:
+    """Parse a coordinate-format, real Matrix Market stream or file.
+
+    Symmetric files are expanded to general storage. Duplicate entries are
+    summed. Integer, complex and pattern fields are rejected.
+    """
+    stream, owned = _open_text(source, "r")
+    try:
+        header = stream.readline()
+        if not header.startswith("%%MatrixMarket"):
+            raise MatrixMarketError("missing %%MatrixMarket header")
+        parts = header.strip().split()
+        if len(parts) != 5:
+            raise MatrixMarketError(f"malformed header: {header.strip()!r}")
+        _, obj, fmt, fld, sym = (p.lower() for p in parts)
+        if obj != "matrix":
+            raise MatrixMarketError(f"unsupported object {obj!r}")
+        if fmt != "coordinate":
+            raise MatrixMarketError(f"unsupported format {fmt!r} (coordinate only)")
+        if fld != "real":
+            raise UnsupportedFieldError(f"unsupported field {fld!r} (real only)")
+        if sym not in ("general", "symmetric"):
+            raise UnsupportedFieldError(f"unsupported symmetry {sym!r}")
+
+        size_line = None
+        for line in stream:
+            stripped = line.strip()
+            if not stripped or stripped.startswith("%"):
+                continue
+            size_line = stripped
+            break
+        if size_line is None:
+            raise MatrixMarketError("missing size line")
+        try:
+            m_str, n_str, nnz_str = size_line.split()
+            n_rows, n_cols, nnz = int(m_str), int(n_str), int(nnz_str)
+        except ValueError as exc:
+            raise MatrixMarketError(f"malformed size line: {size_line!r}") from exc
+        if n_rows < 0 or n_cols < 0 or nnz < 0:
+            raise MatrixMarketError("negative dimension in size line")
+
+        rows = np.empty(nnz, dtype=np.int64)
+        cols = np.empty(nnz, dtype=np.int64)
+        vals = np.empty(nnz, dtype=np.float64)
+        k = 0
+        for line in stream:
+            stripped = line.strip()
+            if not stripped or stripped.startswith("%"):
+                continue
+            fields = stripped.split()
+            if len(fields) != 3:
+                raise MatrixMarketError(f"malformed entry line: {stripped!r}")
+            if k >= nnz:
+                raise MatrixMarketError("more entries than declared")
+            try:
+                i, j, v = int(fields[0]), int(fields[1]), float(fields[2])
+            except ValueError as exc:
+                raise MatrixMarketError(f"malformed entry line: {stripped!r}") from exc
+            if not (1 <= i <= n_rows and 1 <= j <= n_cols):
+                raise MatrixMarketError(
+                    f"entry ({i}, {j}) outside declared {n_rows}x{n_cols} bounds")
+            rows[k], cols[k], vals[k] = i - 1, j - 1, v
+            k += 1
+        if k != nnz:
+            raise MatrixMarketError(f"declared {nnz} entries, found {k}")
+
+        if sym == "symmetric":
+            off = rows != cols
+            rows, cols, vals = (np.concatenate([rows, cols[off]]),
+                                np.concatenate([cols, rows[off]]),
+                                np.concatenate([vals, vals[off]]))
+        return CscMatrix.from_coo(n_rows, n_cols, rows, cols, vals)
+    finally:
+        if owned:
+            stream.close()
+
+
+def split(a: CscMatrix, factor: float = 10.0, strategy: str = "nearest",
+          p_kept: int | None = None) -> SplitSystem:
+    """Split off the irregular columns of a square matrix.
+
+    Irregular columns with at most ``p_kept`` entries are left untouched
+    and not reported. ``s == 0`` returns A itself with an n-by-0 U.
+    """
+    if a.n_rows != a.n_cols:
+        raise ValueError("square matrix required")
+    stats = column_stats(a, factor)
+    if p_kept is None:
+        p_kept = stats.p
+    if p_kept < 1:
+        raise ValueError("p_kept must be at least 1")
+    irregular = [int(j) for j in stats.irregular_cols
+                 if stats.per_col_nnz[j] > p_kept]
+    if not irregular:
+        return SplitSystem(a_tilde=a, u=CscMatrix.empty(a.n_rows, 0),
+                           irregular_cols=np.empty(0, dtype=np.int64),
+                           strategy=strategy, p_kept=p_kept)
+
+    keep_rows, keep_vals, keep_cols = [], [], []
+    u_rows, u_vals, u_cols = [], [], []
+    irregular_set = set(irregular)
+    for j in range(a.n_cols):
+        rows, vals = a.col(j)
+        if j in irregular_set:
+            kept = _keep_indices(rows, vals, j, p_kept, strategy)
+            mask = np.zeros(len(rows), dtype=bool)
+            mask[kept] = True
+            keep_rows.append(rows[mask])
+            keep_vals.append(vals[mask])
+            keep_cols.append(np.full(int(mask.sum()), j, dtype=np.int64))
+            u_idx = len(u_cols)
+            u_rows.append(rows[~mask])
+            u_vals.append(vals[~mask])
+            u_cols.append(np.full(int((~mask).sum()), u_idx, dtype=np.int64))
+        else:
+            keep_rows.append(rows)
+            keep_vals.append(vals)
+            keep_cols.append(np.full(len(rows), j, dtype=np.int64))
+
+    a_tilde = CscMatrix.from_coo(a.n_rows, a.n_cols,
+                                 np.concatenate(keep_rows),
+                                 np.concatenate(keep_cols),
+                                 np.concatenate(keep_vals))
+    u = CscMatrix.from_coo(a.n_rows, len(irregular),
+                           np.concatenate(u_rows),
+                           np.concatenate(u_cols),
+                           np.concatenate(u_vals))
+    return SplitSystem(a_tilde=a_tilde, u=u,
+                       irregular_cols=np.asarray(irregular, dtype=np.int64),
+                       strategy=strategy, p_kept=p_kept)
+
+
+def _strongly_connected(a: CscMatrix) -> bool:
+    """Strong connectivity of the pattern digraph (edge j -> i per entry)."""
+    n = a.n_rows
+    if n <= 1:
+        return True
+
+    def reaches_all(neighbors) -> bool:
+        seen = np.zeros(n, dtype=bool)
+        seen[0] = True
+        stack = [0]
+        count = 1
+        while stack:
+            v = stack.pop()
+            for w in neighbors(v):
+                if not seen[w]:
+                    seen[w] = True
+                    count += 1
+                    stack.append(int(w))
+        return count == n
+
+    fwd_adj = [a.col(j)[0] for j in range(n)]
+    rev_adj = [[] for _ in range(n)]
+    for j in range(n):
+        for i in fwd_adj[j]:
+            rev_adj[int(i)].append(j)
+    return (reaches_all(lambda v: fwd_adj[v])
+            and reaches_all(lambda v: rev_adj[v]))

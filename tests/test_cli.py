@@ -123,6 +123,32 @@ class TestPrecondSolve:
         assert set(precond) - set(stats) == {"schema_version", "input", "method",
                                              "matrix_out"}
 
+    @pytest.mark.parametrize("method", ["spai", "psai"])
+    def test_precond_file_report_keys_match_solve(self, capsys, tmp_path,
+                                                  irregular_mtx, method):
+        path, _ = irregular_mtx
+        m_path = str(tmp_path / "m.mtx")
+        run_json(capsys, ["precond", path, "--method", method, "--matrix-out", m_path])
+        _, normal = run_json(capsys, ["solve", path, "--method", method])
+        rc, reused = run_json(capsys, ["solve", path, "--method", method,
+                                       "--precond-file", m_path])
+        assert rc == 0
+        assert set(reused) == set(normal) | {"precond_file"}
+        assert reused["precond_file"] == m_path
+        stats = reused["preconditioner_stats"]
+        assert set(stats) == set(normal["preconditioner_stats"])
+        build_only = {"t_setup", "guard_hits", "n_c", "max_candidates", "l_m", "n_failed"}
+        assert all(stats[key] == 0 for key in build_only & set(stats))
+        assert stats["nnz_m"] == read_matrix_market(m_path).nnz
+
+    def test_precond_file_zero_rhs(self, capsys, tmp_path, identity_mtx):
+        rhs_path = write_mtx(tmp_path / "zero.mtx", CscMatrix.empty(12, 1))
+        rc, report = run_json(capsys, ["solve", identity_mtx, "--rhs", rhs_path,
+                                       "--precond-file", identity_mtx])
+        assert rc == 0
+        assert report["rr"] == 0.0 and report["x_hat"] == [0.0] * 12
+        assert report["preconditioner_stats"]["nnz_m"] == 12
+
     def test_solve_exit_zero_on_target(self, capsys, tmp_path, irregular_mtx):
         path, a = irregular_mtx
         rc, report = run_json(

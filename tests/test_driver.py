@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from saikit import (AssemblyError, CscMatrix, DriverConfig, SingularUpdateError,
-                    assemble_solution, generate_test_matrix, matvec,
+                    assemble_solution, bicgstab, generate_test_matrix, matvec, permute_rows,
                     smw_inverse_apply, solve_irregular, solve_standard, split,
                     subsystem_tolerances)
+from saikit import driver
 from .conftest import dense_split_factor, tridiagonal, with_dense_column
 
 
@@ -200,6 +201,40 @@ class TestSolveIrregular:
         normal = solve(a, np.ones(6), cfg).preconditioner_stats
         assert set(zero) == set(normal)
         assert all(zero[key] == 0 for key in ("guard_hits", "nnz_m"))
+
+    @pytest.mark.parametrize("method", ["spai", "psai"])
+    def test_supplied_preconditioner_is_used_as_is(self, method, monkeypatch):
+        a = generate_test_matrix("dominant-row", 40, seed=11)
+        b = matvec(a, np.ones(40))
+        cfg = DriverConfig(method=method)
+        built = solve_standard(a, b, cfg)
+        m, stats = driver.build_preconditioner(a, cfg)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a supplied M must not be rebuilt or permuted")
+
+        for name in ("spai", "psai", "zero_free_diagonal_permutation"):
+            monkeypatch.setattr(driver, name, forbidden)
+        reused = solve_standard(a, b, cfg, m=m)
+        assert np.array_equal(reused.x_hat, built.x_hat)
+        assert set(reused.preconditioner_stats) == set(stats)
+        assert reused.preconditioner_stats["nnz_m"] == m.nnz
+        assert reused.preconditioner_stats["t_setup"] == 0.0
+        zero = solve_standard(a, np.zeros(40), cfg, m=m)
+        assert zero.rr == 0.0 and zero.preconditioner_stats["nnz_m"] == m.nnz
+
+    def test_supplied_preconditioner_solves_a_as_stored(self):
+        # rows reversed: the diagonal is zero and the standard path permutes
+        a = permute_rows(generate_test_matrix("dominant-row", 30, seed=4),
+                         np.arange(30)[::-1])
+        b = matvec(a, np.ones(30))
+        cfg = DriverConfig(max_iter=5)
+        rep = solve_standard(a, b, cfg, m=CscMatrix.identity(30))
+        direct = bicgstab(lambda v: matvec(a, v), b, None, apply_precond=lambda v: v,
+                          tol=cfg.epsilon, max_iter=cfg.max_iter)
+        assert np.array_equal(rep.x_hat, direct.x)
+        assert rep.rr == pytest.approx(
+            np.linalg.norm(b - matvec(a, rep.x_hat)) / np.linalg.norm(b), rel=1e-12)
 
     def test_dominant_irregular_instance(self):
         a = generate_test_matrix("dominant-row", 40, planted_dense_cols=2, seed=3)

@@ -1,13 +1,16 @@
-"""Vectorised build kernels against the loop kernels they replaced.
+"""Vectorised and library kernels against the loop kernels they replaced.
 
 ``loop_reference`` keeps the per-candidate ``spai_profitability``, the
-``bincount`` products and the per-column diagonal scans. ``matvec``,
-``matvec_t`` and the diagonal must match them bit for bit. Profitability
-sums its dot products in another order, so rho may differ at rounding
-level, but the candidates and the SPAI preconditioner built from them
-must not.
+``bincount`` products, the per-column diagonal scans, the per-line Matrix
+Market reader, the per-column ``split`` and the DFS connectivity check.
+``matvec``, ``matvec_t``, the diagonal, the reader, ``split`` and the
+connectivity check must match them exactly. Profitability sums its dot
+products in another order, so rho may differ at rounding level, but the
+candidates and the SPAI preconditioner built from them must not.
 """
 
+import io
+import warnings
 from importlib import import_module
 
 import numpy as np
@@ -15,10 +18,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from saikit import (CscMatrix, DegeneratePatternError, SparseVector, SpaiConfig,
-                    ls_init, matvec, matvec_t, spai, spai_profitability)
+from saikit import (CscMatrix, DegeneratePatternError, MatrixMarketError, SparseVector,
+                    SpaiConfig, generate_test_matrix, ls_init, matvec, matvec_t,
+                    permute_rows, read_matrix_market, spai, spai_profitability, split)
+from saikit.splitting import _strongly_connected
 
 from . import loop_reference
+from .conftest import dense_split_factor
 from .test_lstsq_reference import generator_inputs, ls_programs, random_subset
 
 seeds = st.integers(0, 2 ** 31 - 1)
@@ -155,3 +161,157 @@ def test_diagonal_matches_column_scan(seed):
     a = CscMatrix.from_dense(dense)
     assert np.array_equal(a.diagonal(), loop_reference.diagonal(a))
     assert a.has_full_structural_diagonal() is loop_reference.has_full_structural_diagonal(a)
+
+
+def matrix_market_text(rng) -> tuple[str, str]:
+    """A random coordinate file, with and without trailing entry-line comments.
+
+    The body mixes comment and blank lines, duplicates, explicit zeros,
+    out-of-bounds indices, malformed lines and non-finite values, and the
+    size line may miscount the entry lines.
+    """
+    sym = rng.choice(["general", "symmetric"])
+    m, n = (int(d) for d in rng.choice(6, size=2, p=[0.1, 0.18, 0.18, 0.18, 0.18, 0.18]))
+    if sym == "symmetric" and rng.random() < 0.8:
+        n = m
+    text = [f"%%MatrixMarket matrix coordinate real {sym}\n"]
+    plain = list(text)
+
+    def noise() -> str:
+        return str(rng.choice(["", "\n", "   \n", "% comment\n", "\t% indented\n"],
+                              p=[0.7, 0.1, 0.05, 0.1, 0.05]))
+
+    entries: list[tuple[str, str]] = []
+    for _ in range(int(rng.integers(0, 9))):
+        if entries and rng.random() < 0.15:          # a duplicate position
+            i, j = entries[int(rng.integers(len(entries)))][0].split()[:2]
+        else:
+            i, j = (str(int(rng.integers(1, max(d, 1) + 1))) if rng.random() < 0.97
+                    else str(rng.choice([0, -1, d + 1])) for d in (m, n))
+        v = rng.choice([repr(float(rng.standard_normal())), "0.0", "-0", "3", "1e-300",
+                        "nan", "inf", "-inf", "1e400"],
+                       p=[0.64, 0.1, 0.05, 0.1, 0.05, 0.015, 0.015, 0.015, 0.015])
+        fields = [i, j, str(v)]
+        bad = rng.random()
+        if bad < 0.01:
+            fields = fields[:2]
+        elif bad < 0.02:
+            fields.append("1")
+        elif bad < 0.03:
+            fields[int(rng.integers(2))] = str(rng.choice(["1.5", "x", "1e0", "2."]))
+        elif bad < 0.04:
+            fields[2] = "abc"
+        sep = str(rng.choice([" ", "\t", "  "]))
+        line = str(rng.choice(["", " "])) + sep.join(fields)
+        comment = str(rng.choice([" % note", "%x"])) if rng.random() < 0.05 else ""
+        entries.append((line + "\n", line + comment + "\n"))
+    declared = len(entries) + int(rng.choice([-1, 0, 1], p=[0.05, 0.9, 0.05]))
+    size_line = noise() + f"{m} {n} {max(declared, 0)}\n"
+    text.append(size_line)
+    plain.append(size_line)
+    for bare, commented in entries:
+        gap = noise()
+        plain += [gap, bare]
+        text += [gap, commented]
+    return "".join(text), "".join(plain)
+
+
+def outcome(read, text: str, warn: str = "error"):
+    """The matrix read from ``text``, or the class of the exception raised."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter(warn)
+            return read(io.StringIO(text))
+    except Exception as exc:
+        return type(exc)
+
+
+def has_non_finite(text: str) -> bool:
+    return any(w in text for w in ("nan", "inf", "1e400"))
+
+
+@settings(max_examples=500, deadline=None)
+@given(seeds)
+def test_reader_matches_per_line_loop(seed):
+    text, plain = matrix_market_text(np.random.default_rng(seed))
+    got = outcome(read_matrix_market, text)      # any warning fails the read
+    # the loop rejects a trailing comment; loadtxt strips it. The loop's sum
+    # of inf and -inf duplicates warns; that is not under test.
+    want = outcome(loop_reference.read_matrix_market, plain, warn="ignore")
+    if text != plain:
+        assert outcome(loop_reference.read_matrix_market, text,
+                       warn="ignore") is MatrixMarketError
+    if isinstance(want, CscMatrix):
+        assert isinstance(got, CscMatrix) and got.same_as(want)
+    elif want is ValueError and has_non_finite(plain):
+        # the loop let a non-finite value reach CscMatrix
+        assert got is MatrixMarketError
+    else:
+        assert got is want
+
+
+def connectivity_pattern(rng) -> np.ndarray:
+    n = int(rng.integers(0, 12))
+    kind = rng.integers(4)
+    if kind == 0:                # diagonal only, perhaps with holes
+        return np.diag(rng.choice([0.0, 1.0], size=n, p=[0.2, 0.8]))
+    if kind == 1:                # two diagonal blocks: never strongly connected
+        k = int(rng.integers(0, n + 1))
+        out = np.zeros((n, n))
+        for lo, hi in ((0, k), (k, n)):
+            out[lo:hi, lo:hi] = rng.random((hi - lo, hi - lo)) < 0.6
+        return out
+    out = (rng.random((n, n)) < rng.choice([0.05, 0.2, 0.5])).astype(float)
+    if kind == 2 and n:          # plus a Hamiltonian cycle: strongly connected
+        order = rng.permutation(n)
+        out[order, np.roll(order, 1)] = 1.0
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(seeds)
+def test_connectivity_matches_dfs(seed):
+    a = CscMatrix.from_dense(connectivity_pattern(np.random.default_rng(seed)))
+    assert _strongly_connected(a) is loop_reference._strongly_connected(a)
+
+
+@pytest.mark.parametrize("dense, connected", [
+    (np.zeros((0, 0)), True), (np.zeros((1, 1)), True), (np.eye(2), False),
+    (np.ones((2, 2)), True), (np.eye(3, k=1) + np.eye(3, k=-2), True),
+    (np.eye(3, k=1), False)])
+def test_connectivity_small_cases(dense, connected):
+    a = CscMatrix.from_dense(dense)
+    assert _strongly_connected(a) is connected
+    assert loop_reference._strongly_connected(a) is connected
+
+
+KINDS = ("dominant-row", "dominant-col", "m-matrix", "irreducible-dd")
+
+
+@settings(max_examples=300, deadline=None)
+@given(seeds, st.sampled_from(KINDS), st.sampled_from(["nearest", "largest", "bogus"]),
+       st.sampled_from([None, 1, 3]))
+def test_split_matches_per_column_loop(seed, kind, strategy, p_kept):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 40))  # density 0.3 leaves irreducible-dd no edge below 3
+    a = generate_test_matrix(kind, n, density=rng.choice([None, 0.3]),
+                             planted_dense_cols=int(rng.integers(0, min(n, 4) + 1)),
+                             seed=seed)
+    if rng.random() < 0.2:       # diagonals may go missing: ZeroDiagonalError
+        a = permute_rows(a, rng.permutation(n))
+    factor = float(rng.choice([1.0, 2.0, 10.0, dense_split_factor(a)]))
+
+    def run(fn):
+        try:
+            return fn(a, factor=factor, strategy=strategy, p_kept=p_kept)
+        except ValueError as exc:
+            return type(exc)
+
+    got, want = run(split), run(loop_reference.split)
+    if isinstance(want, type):
+        assert got is want
+        return
+    assert got.a_tilde.same_as(want.a_tilde) and got.u.same_as(want.u)
+    assert got.irregular_cols.dtype == want.irregular_cols.dtype
+    assert np.array_equal(got.irregular_cols, want.irregular_cols)
+    assert (got.strategy, got.p_kept) == (want.strategy, want.p_kept)

@@ -1,4 +1,5 @@
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,26 @@ from .conftest import tridiagonal, require_uf
 
 def mm(text: str) -> io.StringIO:
     return io.StringIO(text)
+
+
+def _loadtxt_parsing_ints_via_float(real_loadtxt):
+    """``np.loadtxt`` as NumPy 1.23 to 2.x parse integer fields: a field
+    written as a float ("2.0") warns with a DeprecationWarning and is
+    truncated, and when that warning is an error the field fails with a
+    ValueError."""
+    def loadtxt(stream, dtype, **kwargs):
+        text = stream.read()
+        try:
+            return real_loadtxt(io.StringIO(text), dtype=dtype, **kwargs)
+        except ValueError:
+            try:
+                warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                              DeprecationWarning)
+            except DeprecationWarning as exc:
+                raise ValueError("could not convert string to int64") from exc
+            as_floats = [(name, np.float64) for name in np.dtype(dtype).names]
+            return real_loadtxt(io.StringIO(text), dtype=as_floats, **kwargs).astype(dtype)
+    return loadtxt
 
 
 IDENTITY_2 = """%%MatrixMarket matrix coordinate real general
@@ -77,6 +98,56 @@ class TestRead:
         text = "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 0.0\n2 2 1.0\n"
         a = read_matrix_market(mm(text))
         assert a.nnz == 1
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_value(self, value):
+        text = f"%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n2 2 {value}\n"
+        with pytest.raises(MatrixMarketError, match="finite"):
+            read_matrix_market(mm(text))
+
+    @pytest.mark.parametrize("line", ["2 2", "2 2 1.0 7", "2.0 2 1.0", "2 x 1.0",
+                                      "1e0 2 1.0", "2 2 one"])
+    def test_malformed_entry_line(self, line):
+        text = f"%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n{line}\n"
+        with pytest.raises(MatrixMarketError):
+            read_matrix_market(mm(text))
+
+    @pytest.mark.parametrize("line", ["1.5 2 1.0", "2.0 2 1.0", "2 1e0 1.0"])
+    def test_index_parsed_via_float_is_an_error(self, line, monkeypatch):
+        monkeypatch.setattr(np, "loadtxt", _loadtxt_parsing_ints_via_float(np.loadtxt))
+        text = f"%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n{line}\n"
+        with pytest.raises(MatrixMarketError):
+            read_matrix_market(mm(text))
+
+    def test_other_warnings_reach_the_caller(self, monkeypatch):
+        real_loadtxt = np.loadtxt
+
+        def loadtxt(*args, **kwargs):
+            warnings.warn("an unrelated loadtxt warning", UserWarning)
+            return real_loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", loadtxt)
+        text = "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 1.0\n"
+        with pytest.warns(UserWarning, match="unrelated"):
+            read_matrix_market(mm(text))
+
+    def test_trailing_comment_on_entry_line(self):
+        text = ("%%MatrixMarket matrix coordinate real general\n"
+                "2 2 2\n2 1 5.0 % a note\n1 2 -1.0%tight\n")
+        a = read_matrix_market(mm(text))
+        assert np.array_equal(a.to_dense(), [[0.0, -1.0], [5.0, 0.0]])
+
+    def test_no_warning_without_entries(self, tmp_path):
+        header = "%%MatrixMarket matrix coordinate real general\n"
+        none_declared = tmp_path / "none.mtx"
+        none_declared.write_text(header + "3 2 0\n% nothing follows\n")
+        empty_body = tmp_path / "empty.mtx"
+        empty_body.write_text(header + "3 2 2\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert read_matrix_market(str(none_declared)).same_as(CscMatrix.empty(3, 2))
+            with pytest.raises(MatrixMarketError, match="declared 2 entries, found 0"):
+                read_matrix_market(str(empty_body))
 
 
 @st.composite
