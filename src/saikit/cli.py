@@ -42,8 +42,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="only echoed into the solve and bench reports; "
                         "no computation uses it")
     p.add_argument("--threads", type=int, default=1,
-                   help="worker threads of the preconditioner's column build; "
-                        "the solves run serially")
+                   help="preconditioner column build: contiguous column chunks "
+                        "built in lockstep on their own threads for psai, worker "
+                        "threads for spai; the solves run serially")
 
 
 def _add_method_flags(p: argparse.ArgumentParser) -> None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lstsq import DegeneratePatternError, WorkspaceGuardError, ls_init
+from .lstsq import DegeneratePatternError, WorkspaceGuardError, _sorted_unique, ls_init
 from .sparse_core import CscMatrix, SparseVector, transpose
 
 
@@ -80,8 +80,14 @@ def spai_candidates(a: CscMatrix, r_k: SparseVector, s,
         return np.empty(0, dtype=np.int64)
     if at is None:
         at = transpose(a)
-    touched = at.columns(r_k.indices)[0]
-    return np.setdiff1d(touched, np.asarray(s, dtype=np.int64))
+    return _outside(at.columns(r_k.indices)[0], np.asarray(s, dtype=np.int64))
+
+
+def _outside(values: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """``np.setdiff1d(values, s)``: one sort and dedupe, then a membership test."""
+    uniq = _sorted_unique(values) if len(values) else values
+    s = np.sort(s)
+    return uniq[np.searchsorted(s, uniq, "left") == np.searchsorted(s, uniq, "right")]
 
 
 def spai_mu(a: CscMatrix, r_dense: np.ndarray, j: int) -> float:

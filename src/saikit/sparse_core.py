@@ -250,6 +250,26 @@ class SparseVector:
         out._purge_and_sort()
         return out
 
+    @classmethod
+    def _split(cls, dim: int, n: int, owner: np.ndarray, indices: np.ndarray,
+               values: np.ndarray) -> list["SparseVector"]:
+        """Vectors 0..n-1 from flat triples grouped by ascending ``owner``.
+
+        The ``(owner, index)`` pairs must be unique and in range; the zero
+        purge, sort and finite check run once for all of them.
+        """
+        flat = cls._from_unique(dim * n, owner * dim + indices, values)
+        owner = flat.indices // dim
+        local = flat.indices - owner * dim
+        local.flags.writeable = False
+        ptr = np.searchsorted(owner, np.arange(n + 1)).tolist()
+        out = []
+        for lo, hi in zip(ptr[:-1], ptr[1:]):
+            vec = cls.__new__(cls)
+            vec.dim, vec.indices, vec.values = dim, local[lo:hi], flat.values[lo:hi]
+            out.append(vec)
+        return out
+
     def to_dense(self) -> np.ndarray:
         out = np.zeros(self.dim)
         out[self.indices] = self.values
@@ -371,15 +391,15 @@ def _open_text(source: PathOrStream, mode: str):
 def read_matrix_market(source: PathOrStream) -> CscMatrix:
     """Parse a coordinate-format, real Matrix Market stream or file.
 
-    Symmetric files are expanded to general storage. Duplicate entries are
-    summed. Integer, complex and pattern fields are rejected. Every error
-    in the entries, a non-finite value included, raises
-    :class:`MatrixMarketError`. Entry lines are parsed by ``np.loadtxt``:
-    it accepts a trailing ``%`` comment on an entry line, and rejects the
-    Python-only number spellings (``1_000``, non-ASCII digits) and an index
-    written as a float (``2.0``). While it parses, it changes the warning
-    filters inside ``warnings.catch_warnings``, which acts on the whole
-    process, not only on the calling thread.
+    Symmetric files must declare a square size and are expanded to general
+    storage. Duplicate entries are summed. Integer, complex and pattern
+    fields are rejected. Every error in the entries, a non-finite value
+    included, raises :class:`MatrixMarketError`. Entry lines are parsed by
+    ``np.loadtxt``: it accepts a trailing ``%`` comment on an entry line,
+    and rejects the Python-only number spellings (``1_000``, non-ASCII
+    digits) and an index written as a float (``2.0``). While it parses,
+    it changes the warning filters inside ``warnings.catch_warnings``,
+    which acts on the whole process, not only on the calling thread.
     """
     stream, owned = _open_text(source, "r")
     try:
@@ -415,6 +435,9 @@ def read_matrix_market(source: PathOrStream) -> CscMatrix:
             raise MatrixMarketError(f"malformed size line: {size_line!r}") from exc
         if n_rows < 0 or n_cols < 0 or nnz < 0:
             raise MatrixMarketError("negative dimension in size line")
+        if sym == "symmetric" and n_rows != n_cols:
+            raise MatrixMarketError(f"symmetric matrix must be square, size line "
+                                    f"declares {n_rows}x{n_cols}")
 
         try:
             with warnings.catch_warnings():

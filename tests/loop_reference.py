@@ -5,7 +5,10 @@ passed in, as test oracles for ``spai.spai_profitability``,
 ``sparse_core.matvec`` / ``matvec_t`` and ``CscMatrix.diagonal`` /
 ``has_full_structural_diagonal``. The per-line Matrix Market reader, the
 per-column ``split`` and the two-pass DFS behind
-``splitting._strongly_connected`` are kept verbatim, their imports aside.
+``splitting._strongly_connected`` are kept verbatim, their imports aside,
+and so are the per-column PSAI build (``psai_column`` and ``psai``) that
+the lockstep build replaced. Its least-squares kernel is the module global
+``ls_init``, so a test may swap in another one.
 """
 
 from __future__ import annotations
@@ -14,8 +17,11 @@ import math
 
 import numpy as np
 
-from saikit.sparse_core import (CscMatrix, MatrixMarketError, PathOrStream,
-                                UnsupportedFieldError, _open_text, column_stats)
+from saikit.lstsq import DegeneratePatternError, WorkspaceGuardError, ls_init
+from saikit.psai import PsaiColumnResult, PsaiConfig, PsaiReport, psai_tol
+from saikit.sparse_core import (CscMatrix, MatrixMarketError, PathOrStream, SparseVector,
+                                UnsupportedFieldError, _open_text, column_stats, norm1)
+from saikit.spai import _assemble_columns, _map_columns
 from saikit.splitting import SplitSystem, _keep_indices
 
 
@@ -236,3 +242,89 @@ def _strongly_connected(a: CscMatrix) -> bool:
             rev_adj[int(i)].append(j)
     return (reaches_all(lambda v: fwd_adj[v])
             and reaches_all(lambda v: rev_adj[v]))
+
+
+def _pattern_step(a: CscMatrix, frontier: np.ndarray) -> np.ndarray:
+    """Structural pattern of A applied to a vector supported on ``frontier``."""
+    return np.unique(a.columns(frontier)[0])
+
+
+def psai_column(a: CscMatrix, k: int, cfg: PsaiConfig,
+                a_norm1: float | None = None,
+                dropping: bool = True) -> PsaiColumnResult:
+    """Adaptive power-pattern column; raises on a degenerate subproblem."""
+    if a.n_rows != a.n_cols:
+        raise ValueError("square matrix required")
+    if a_norm1 is None:
+        a_norm1 = norm1(a)
+    try:
+        ws = ls_init(a, k, [k], max_workspace_bytes=cfg.max_workspace_bytes)
+    except DegeneratePatternError as exc:
+        raise DegeneratePatternError(f"column {k}: {exc}") from exc
+
+    drops: list[tuple[int, int, float, float]] = []
+    tol_history: list[float] = []
+    frontier = np.array([k], dtype=np.int64)
+    loops_used = 0
+
+    def apply_dropping(loop: int) -> None:
+        nonlocal ws
+        sol = ws.solution()
+        nnz_now = sol.nnz
+        if nnz_now < 1:
+            return
+        if cfg.tol_policy == "adaptive":
+            tol = psai_tol(cfg.delta, nnz_now, a_norm1)
+        else:
+            tol = float(cfg.tol_policy)
+        tol_history.append(tol)
+        cols = ws.cols
+        mags = np.zeros(len(cols))
+        mags[np.searchsorted(cols, sol.indices)] = np.abs(sol.values)
+        doomed = (mags <= tol) & (cols != k)
+        drops.extend((loop, int(j), float(mag), tol)
+                     for j, mag in zip(cols[doomed], mags[doomed]))
+        if doomed.any():
+            ws = ws.drop_columns(a, cols[doomed])
+
+    if dropping:
+        apply_dropping(0)
+    for loop in range(1, cfg.l_max + 1):
+        if ws.residual_norm <= cfg.delta:
+            break
+        frontier = _pattern_step(a, frontier)
+        new_cols = np.setdiff1d(frontier, ws.cols, assume_unique=True)   # both from np.unique
+        if len(new_cols):
+            ws.augment(a, new_cols)
+        loops_used = loop
+        if dropping:
+            apply_dropping(loop)
+    return PsaiColumnResult(m_k=ws.solution(), residual_norm=ws.residual_norm,
+                            loops_used=loops_used, dropped_count=len(drops),
+                            converged=ws.residual_norm <= cfg.delta,
+                            drops=drops, tol_history=tol_history)
+
+
+def psai(a: CscMatrix, cfg: PsaiConfig | None = None, threads: int = 1,
+         dropping: bool = True) -> tuple[CscMatrix, PsaiReport]:
+    """Assemble the preconditioner column by column; failures stay local."""
+    cfg = cfg or PsaiConfig()
+    a1 = norm1(a)
+
+    def run(k: int) -> PsaiColumnResult:
+        try:
+            return psai_column(a, k, cfg, a_norm1=a1, dropping=dropping)
+        except (DegeneratePatternError, WorkspaceGuardError) as exc:
+            empty = SparseVector(a.n_cols, np.empty(0, dtype=np.int64), np.empty(0))
+            return PsaiColumnResult(m_k=empty, residual_norm=1.0, loops_used=0,
+                                    dropped_count=0, converged=False,
+                                    error=f"{type(exc).__name__}: {exc}")
+
+    results = _map_columns(run, a.n_cols, threads)
+    m = _assemble_columns(a.n_rows, [r.m_k for r in results])
+    residuals = np.array([r.residual_norm for r in results])
+    errors = [(k, r.error) for k, r in enumerate(results) if r.error]
+    report = PsaiReport(residuals=residuals,
+                        l_m=max((r.loops_used for r in results), default=0),
+                        columns=results, errors=errors)
+    return m, report

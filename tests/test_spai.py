@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from saikit import (CscMatrix, SparseVector, SpaiConfig, spai,
                     spai_candidates, spai_column, spai_mu, spai_profitability)
+from saikit.spai import _outside
 from .conftest import random_dominant, tridiagonal, with_dense_column
 
 
@@ -51,6 +55,18 @@ class TestCandidates:
         a = CscMatrix.identity(3)
         r = SparseVector(3, [], [])
         assert len(spai_candidates(a, r, [0])) == 0
+
+
+index_arrays = arrays(np.int64, st.integers(0, 40), elements=st.integers(0, 25))
+
+
+@settings(max_examples=300, deadline=None)
+@given(index_arrays, index_arrays)
+def test_candidate_set_difference_matches_setdiff1d(values, s):
+    # repeats and unsorted arrays on both sides, and either side may be empty
+    got = _outside(values, s)
+    want = np.setdiff1d(values, s)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 class TestProfitability:

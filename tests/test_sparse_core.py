@@ -88,6 +88,15 @@ class TestRead:
         a = read_matrix_market(mm(text))
         assert np.array_equal(a.to_dense(), [[3.0, -1.0], [-1.0, 3.0]])
 
+    @pytest.mark.parametrize("body", [
+        "3 2 1\n2 1 1.0\n",          # every mirrored index fits: read as 3x2 before
+        "2 3 1\n1 3 1.0\n",          # the mirror (3, 1) is out of bounds
+    ])
+    def test_symmetric_must_be_square(self, body):
+        text = "%%MatrixMarket matrix coordinate real symmetric\n" + body
+        with pytest.raises(MatrixMarketError, match="square"):
+            read_matrix_market(mm(text))
+
     def test_comments_and_blanks_skipped(self):
         text = ("%%MatrixMarket matrix coordinate real general\n"
                 "% a comment\n\n2 2 1\n% another\n2 1 5.0\n")
