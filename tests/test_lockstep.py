@@ -94,8 +94,13 @@ def test_result_does_not_depend_on_the_batch(kind, shuffled):
         a = permute_rows(a, np.random.default_rng(3).permutation(n))
     cfg = PsaiConfig(delta=0.1)
     m1, rep1 = psai(a, cfg, threads=1)
-    for threads in (3, n):
-        m_t, rep_t = psai(a, cfg, threads=threads)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)         # more thread switches inside the batches
+    try:
+        built = [psai(a, cfg, threads=threads) for threads in (3, n)]
+    finally:
+        sys.setswitchinterval(interval)
+    for m_t, rep_t in built:
         assert m_t.same_as(m1)
         for got, want in zip(rep_t.columns, rep1.columns):
             assert_same_column(got, want)
