@@ -42,9 +42,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="only echoed into the solve and bench reports; "
                         "no computation uses it")
     p.add_argument("--threads", type=int, default=1,
-                   help="preconditioner column build: contiguous column chunks "
-                        "built in lockstep on their own threads for psai, worker "
-                        "threads for spai; the solves run serially")
+                   help="preconditioner build only: spai and psai split the columns "
+                        "into that many contiguous chunks, each built in lockstep "
+                        "on its own thread; the solves run serially")
 
 
 def _add_method_flags(p: argparse.ArgumentParser) -> None:

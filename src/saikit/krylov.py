@@ -66,52 +66,54 @@ def bicgstab(apply_op: Callable[[np.ndarray], np.ndarray],
     def finish(it: int, flag: str) -> SolveOutcome:
         return SolveOutcome(x=best_x, iterations=it, rel_residual=best_rr, flag=flag)
 
-    for it in range(1, max_iter + 1):
-        rho_new = float(r_shadow @ r)
-        if not np.isfinite(rho_new) or abs(rho_new) < breakdown_floor:
-            return finish(it - 1, "breakdown")
-        beta = (rho_new / rho) * (alpha / omega)
-        p = r + beta * (p - omega * v)
-        p_hat = prec(p)
-        v = apply_op(p_hat)
-        denom = float(r_shadow @ v)
-        if not np.isfinite(denom) or abs(denom) < breakdown_floor:
-            return finish(it - 1, "breakdown")
-        alpha = rho_new / denom
-        s = r - alpha * v
+    # A step that overflows is the breakdown the checks below detect, not a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(1, max_iter + 1):
+            rho_new = float(r_shadow @ r)
+            if not np.isfinite(rho_new) or abs(rho_new) < breakdown_floor:
+                return finish(it - 1, "breakdown")
+            beta = (rho_new / rho) * (alpha / omega)
+            p = r + beta * (p - omega * v)
+            p_hat = prec(p)
+            v = apply_op(p_hat)
+            denom = float(r_shadow @ v)
+            if not np.isfinite(denom) or abs(denom) < breakdown_floor:
+                return finish(it - 1, "breakdown")
+            alpha = rho_new / denom
+            s = r - alpha * v
 
-        x_half = x + alpha * p_hat
-        rr_half = float(np.linalg.norm(b - apply_op(x_half))) / norm_b
-        if np.isfinite(rr_half) and rr_half < best_rr * (1.0 - 1e-12):
-            best_x, best_rr = x_half.copy(), rr_half
-            since_improved = 0
-        if rr_half <= tol:
-            return SolveOutcome(x=x_half, iterations=it, rel_residual=rr_half,
-                                flag="converged")
+            x_half = x + alpha * p_hat
+            rr_half = float(np.linalg.norm(b - apply_op(x_half))) / norm_b
+            if np.isfinite(rr_half) and rr_half < best_rr * (1.0 - 1e-12):
+                best_x, best_rr = x_half.copy(), rr_half
+                since_improved = 0
+            if rr_half <= tol:
+                return SolveOutcome(x=x_half, iterations=it, rel_residual=rr_half,
+                                    flag="converged")
 
-        s_hat = prec(s)
-        t = apply_op(s_hat)
-        tt = float(t @ t)
-        if not np.isfinite(tt) or tt == 0.0:
-            return finish(it, "breakdown")
-        omega = float(t @ s) / tt
-        if not np.isfinite(omega) or abs(omega) < _BREAKDOWN_REL:
-            return finish(it, "breakdown")
-        x = x_half + omega * s_hat
-        r = s - omega * t
+            s_hat = prec(s)
+            t = apply_op(s_hat)
+            tt = float(t @ t)
+            if not np.isfinite(tt) or tt == 0.0:
+                return finish(it, "breakdown")
+            omega = float(t @ s) / tt
+            if not np.isfinite(omega) or abs(omega) < _BREAKDOWN_REL:
+                return finish(it, "breakdown")
+            x = x_half + omega * s_hat
+            r = s - omega * t
 
-        rr = float(np.linalg.norm(b - apply_op(x))) / norm_b
-        if not np.isfinite(rr):
-            return finish(it, "breakdown")
-        if rr < best_rr * (1.0 - 1e-12):
-            best_x, best_rr = x.copy(), rr
-            since_improved = 0
-        else:
-            since_improved += 1
-        if rr <= tol:
-            return SolveOutcome(x=x, iterations=it, rel_residual=rr, flag="converged")
-        if since_improved >= _STAGNATION_WINDOW:
-            return finish(it, "stagnation")
-        rho = rho_new
+            rr = float(np.linalg.norm(b - apply_op(x))) / norm_b
+            if not np.isfinite(rr):
+                return finish(it, "breakdown")
+            if rr < best_rr * (1.0 - 1e-12):
+                best_x, best_rr = x.copy(), rr
+                since_improved = 0
+            else:
+                since_improved += 1
+            if rr <= tol:
+                return SolveOutcome(x=x, iterations=it, rel_residual=rr, flag="converged")
+            if since_improved >= _STAGNATION_WINDOW:
+                return finish(it, "stagnation")
+            rho = rho_new
 
     return finish(max_iter, "max_iter")

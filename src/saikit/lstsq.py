@@ -2,11 +2,12 @@
 
 A workspace holds a batch of independent targets: target t minimizes
 ``|| A(:, S_t) m - e_{k_t} ||`` over its column pattern S_t. A single
-target (``ls_init(a, k, s0)``) is the batch of one. The active row set L_t
-holds every nonzero row of A(:, S_t) plus k_t itself, so the subproblem
-residual norm equals the full-length residual norm exactly. Every init,
-augment and drop gathers A(L, S) of the targets it changes in one
-vectorised pass and re-solves them from scratch.
+target (``ls_init(a, k, s0)``) is the batch of one, fitted by the same
+code as any batch; it differs only in raising its failure. The active row
+set L_t holds every nonzero row of A(:, S_t) plus k_t itself, so the
+subproblem residual norm equals the full-length residual norm exactly.
+Every init, augment and drop gathers A(L, S) of the targets it changes in
+one vectorised pass and re-solves them from scratch.
 
 A pattern is a pair of flat ``(owner, col)`` arrays, target after target;
 within a target the columns keep their insertion order, and a drop
@@ -155,16 +156,6 @@ class LsWorkspace:
         self.n_cols = a.n_cols
         self.max_workspace_bytes = max_workspace_bytes
         self.errors: dict[int, Exception] = {}
-        if self.single:
-            if not 0 <= k < a.n_rows:
-                raise ValueError("target index k out of range")
-            self.targets = np.array([k], dtype=np.int64)
-            self.residual_norms = np.array([np.nan])
-            cols = self._pairs(None, cols)
-            if len(cols) == 0:
-                raise DegeneratePatternError("empty initial pattern")
-            self._fit_one(a, cols)
-            return
         self.targets = np.asarray(k, dtype=np.int64).ravel()
         n_t = len(self.targets)
         if n_t and (self.targets.min() < 0 or self.targets.max() >= a.n_rows):
@@ -172,7 +163,7 @@ class LsWorkspace:
         self.residual_norms = np.full(n_t, np.nan)
         self._owner = self._cols = self._row_owner = self._rows = np.empty(0, dtype=np.int64)
         self._coeffs = self._resid_vec = np.empty(0)
-        owner, cols = self._split(self._pairs(*cols))
+        owner, cols = self._split(self._pairs(None, cols) if self.single else self._pairs(*cols))
         empty = np.ones(n_t, dtype=bool)
         empty[owner] = False
         for t in np.flatnonzero(empty):
@@ -194,8 +185,6 @@ class LsWorkspace:
     @property
     def cols(self) -> np.ndarray:
         """Pattern columns in ascending order, target after target."""
-        if len(self.targets) == 1:
-            return np.sort(self._cols)
         return self._split(np.sort(self._owner * self.n_cols + self._cols))[1]
 
     @property
@@ -222,9 +211,9 @@ class LsWorkspace:
         at = self._span(self._row_owner, t)
         return SparseVector._from_unique(self.n_rows, self._rows[at], self._resid_vec[at])
 
-    def scatter_residual(self, out: np.ndarray) -> None:
-        """Write the residual of a batch of one into a dense vector at the L positions."""
-        out[self._rows] = self._resid_vec
+    def residuals(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Flat ``(owner, row, residual)`` arrays, rows ascending in each target; do not write."""
+        return self._row_owner, self._rows, self._resid_vec
 
     # -- mutation ------------------------------------------------------
 
@@ -237,10 +226,6 @@ class LsWorkspace:
         keys = self._pairs(owner, new_cols)
         if len(keys) == 0:
             return
-        if len(self.targets) == 1:      # the keys are the columns
-            if _member(keys, self._cols).any():
-                raise ValueError("augment columns must be disjoint from the pattern")
-            return self._fit_one(a, np.concatenate([self._cols, keys]))
         new_owner, new_cols = self._split(keys)
         touched = np.zeros(len(self.targets), dtype=bool)
         touched[new_owner] = True
@@ -262,8 +247,6 @@ class LsWorkspace:
         keys = self._pairs(owner, drop)
         touched = np.zeros(len(self.targets), dtype=bool)
         touched[keys // self.n_cols] = True
-        if self.single:
-            touched[0] = True
         mine = touched[self._owner]
         remaining = np.sort(self._owner[mine] * self.n_cols + self._cols[mine])
         if len(keys):
@@ -287,21 +270,17 @@ class LsWorkspace:
     def _pairs(self, owner, cols) -> np.ndarray:
         """Sorted unique ``owner * n_cols + col`` keys of checked (owner, col) pairs."""
         cols = np.asarray(cols, dtype=np.int64).ravel()
-        if owner is not None and len(cols):
-            owner = np.asarray(owner, dtype=np.int64).ravel()
-            if len(owner) != len(cols):
-                raise ValueError("owner and column arrays differ in length")
-            if owner.min() < 0 or owner.max() >= len(self.targets):
-                raise ValueError("owner index out of range")
-            if cols.min() < 0 or cols.max() >= self.n_cols:
-                raise ValueError("column index out of range")
-            cols = owner * self.n_cols + cols
         if len(cols) == 0:
             return cols
-        keys = _sorted_unique(cols)
-        if owner is None and (keys[0] < 0 or keys[-1] >= self.n_cols):
+        owner = (np.zeros(len(cols), dtype=np.int64) if owner is None
+                 else np.asarray(owner, dtype=np.int64).ravel())
+        if len(owner) != len(cols):
+            raise ValueError("owner and column arrays differ in length")
+        if owner.min() < 0 or owner.max() >= len(self.targets):
+            raise ValueError("owner index out of range")
+        if cols.min() < 0 or cols.max() >= self.n_cols:
             raise ValueError("column index out of range")
-        return keys
+        return _sorted_unique(owner * self.n_cols + cols)
 
     def _split(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         owner = keys // self.n_cols
@@ -309,8 +288,6 @@ class LsWorkspace:
 
     def _span(self, owner: np.ndarray, t: int):
         """Positions of target t in a flat state array."""
-        if len(self.targets) == 1:
-            return slice(None)
         lo, hi = np.searchsorted(owner, (t, t + 1))
         return slice(lo, hi)
 
@@ -327,10 +304,6 @@ class LsWorkspace:
         The state of every target marked in ``touched`` is replaced; one
         absent from ``owner`` (it failed) is left with none.
         """
-        if len(self.targets) == 1:
-            if touched[0]:
-                self._fit_one(a, cols)
-            return
         fitted, norms, pattern, rows = self._fit(a, owner, cols)
         self._owner, self._cols, self._coeffs = _merge(
             touched, (self._owner, self._cols, self._coeffs), pattern)
@@ -350,34 +323,6 @@ class LsWorkspace:
         """Record target t's all-zero submatrix as its failure; always True."""
         self._fail(t, DegeneratePatternError("pattern selects an all-zero submatrix"))
         return True
-
-    def _fit_one(self, a: CscMatrix, cols: np.ndarray) -> None:
-        """Fit and store the batch of one: the arithmetic of :meth:`_fit`, gathered densely."""
-        k = self.targets[0]
-        rows, vals, pos = a.columns(cols)
-        l_rows = _sorted_unique(np.append(rows, k))
-        failed = len(cols) == 0 or self._guard(0, len(l_rows), len(cols))
-        if not failed and not vals.any():
-            failed = self._all_zero(0)
-        if failed:
-            self._owner = self._cols = self._row_owner = self._rows = np.empty(0, dtype=np.int64)
-            self._coeffs = self._resid_vec = np.empty(0)    # the target failed
-            return
-        at = np.searchsorted(l_rows, rows)
-        is_k = l_rows == k
-        in_rows, in_cols = _row_block(at, pos, is_k.copy(), len(cols))
-        coeffs = np.zeros(len(cols))
-        if in_cols.any():
-            ahat = np.zeros((len(l_rows), len(cols)))
-            ahat[at, pos] = vals
-            y, owner = _householder_solve(ahat[in_rows][:, in_cols],
-                                          is_k[in_rows].astype(np.float64))
-            coeffs[np.flatnonzero(in_cols)[owner]] = y
-        l_owner = np.zeros(len(l_rows), dtype=np.int64)
-        resid, norms = _residual(at, vals * coeffs[pos], is_k, l_owner, 1)
-        self._owner, self._cols, self._coeffs = np.zeros(len(cols), dtype=np.int64), cols, coeffs
-        self._row_owner, self._rows, self._resid_vec = l_owner, l_rows, resid
-        self.residual_norms[0] = norms[0]
 
     def _fit(self, a: CscMatrix, owner: np.ndarray, cols: np.ndarray):
         """Gather A(L, S), check the guard and for all-zero patterns, then solve.
@@ -454,12 +399,3 @@ def ls_init(a: CscMatrix, k, s0, max_workspace_bytes: int | None = None) -> LsWo
     their initial patterns and the workspace holds the whole batch.
     """
     return LsWorkspace(a, k, s0, max_workspace_bytes=max_workspace_bytes)
-
-
-def ls_augment(w: LsWorkspace, new_cols, a: CscMatrix) -> LsWorkspace:
-    w.augment(a, new_cols)
-    return w
-
-
-def ls_drop_columns(w: LsWorkspace, drop, a: CscMatrix) -> LsWorkspace:
-    return w.drop_columns(a, drop)

@@ -24,12 +24,7 @@ from scipy.sparse import csc_matrix as _scipy_csc
 
 from .lstsq import DegeneratePatternError, _member, ls_init
 from .sparse_core import CscMatrix, SparseVector, norm1
-from .spai import _assemble_columns, _map_columns
-
-
-# Columns per lockstep batch at most: a batch holds the subproblems of all
-# its columns at once, so its memory grows with its size.
-_BATCH_COLUMNS = 512
+from .spai import _build_columns, _ones_pattern
 
 
 @dataclass
@@ -165,10 +160,6 @@ def _lockstep(a: CscMatrix, ks: np.ndarray, cfg: PsaiConfig, a_norm1: float,
     return results, ws.errors
 
 
-def _ones_pattern(a: CscMatrix):
-    return _scipy_csc((np.ones(a.nnz), a.row_idx, a.col_ptr), shape=(a.n_rows, a.n_cols))
-
-
 def psai_column(a: CscMatrix, k: int, cfg: PsaiConfig,
                 a_norm1: float | None = None,
                 dropping: bool = True) -> PsaiColumnResult:
@@ -195,31 +186,19 @@ def psai(a: CscMatrix, cfg: PsaiConfig | None = None, threads: int = 1,
     """Assemble the preconditioner, all columns in lockstep; failures stay local.
 
     ``threads`` splits the columns into that many contiguous chunks, each
-    built as one lockstep batch on its own worker thread. A batch holds at
-    most ``_BATCH_COLUMNS`` columns, which bounds its memory.
+    built as one lockstep batch on its own worker thread (see
+    ``spai._build_columns``).
     """
     cfg = cfg or PsaiConfig()
     if a.n_rows != a.n_cols and a.n_cols:
         raise ValueError("square matrix required")
     a1 = norm1(a)
     pattern_b = _ones_pattern(a)
-    n_chunks = max(threads, -(-a.n_cols // _BATCH_COLUMNS))
-    chunks = np.array_split(np.arange(a.n_cols, dtype=np.int64),
-                            max(1, min(n_chunks, a.n_cols)))
     empty = SparseVector(a.n_cols, np.empty(0, dtype=np.int64), np.empty(0))
-
-    def run(i: int) -> list[PsaiColumnResult]:
-        results, errors = _lockstep(a, chunks[i], cfg, a1, dropping, pattern_b)
-        for t, exc in errors.items():
-            results[t] = PsaiColumnResult(m_k=empty, residual_norm=1.0, loops_used=0,
-                                          dropped_count=0, converged=False,
-                                          error=f"{type(exc).__name__}: {exc}")
-        return results
-
-    results = [r for part in _map_columns(run, len(chunks), threads) for r in part]
-    m = _assemble_columns(a.n_rows, [r.m_k for r in results])
-    residuals = np.array([r.residual_norm for r in results])
-    errors = [(k, r.error) for k, r in enumerate(results) if r.error]
+    results, m, residuals, errors = _build_columns(
+        a, threads, lambda ks: _lockstep(a, ks, cfg, a1, dropping, pattern_b),
+        lambda error: PsaiColumnResult(m_k=empty, residual_norm=1.0, loops_used=0,
+                                       dropped_count=0, converged=False, error=error))
     report = PsaiReport(residuals=residuals,
                         l_m=max((r.loops_used for r in results), default=0),
                         columns=results, errors=errors)

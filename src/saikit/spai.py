@@ -1,10 +1,14 @@
-"""Adaptive sparse approximate inverse by per-column pattern growth.
+"""Adaptive sparse approximate inverse by pattern growth, all columns in lockstep.
 
-Each column m_k of the preconditioner M minimizes ||A m_k - e_k|| over a
-pattern that starts at {k} and grows by the most profitable candidate
-indices until the residual norm falls to ``delta`` or the loop cap is hit.
-Columns are independent and may be computed by parallel workers sharing A
-read-only.
+Column m_k of M minimizes ||A m_k - e_k|| over a pattern that starts at {k}
+and grows by the ``mn`` most profitable candidates per loop until the
+residual norm falls to ``delta`` or the loop cap is hit (Grote and Huckle,
+1997). Every column still growing advances one loop together: one
+structural product finds the candidates, one product A^T R of the
+residuals R scores them, one lexsort picks them and one batched augment
+re-solves. A column's result does not depend on its batch, so
+``spai_column`` is the batch of one. ``_build_columns`` chunks the columns
+for both constructions.
 """
 
 from __future__ import annotations
@@ -13,9 +17,14 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csc_matrix as _scipy_csc
 
-from .lstsq import DegeneratePatternError, WorkspaceGuardError, _sorted_unique, ls_init
-from .sparse_core import CscMatrix, SparseVector, transpose
+from .lstsq import DegeneratePatternError, _member, ls_init
+from .sparse_core import CscMatrix, SparseVector
+
+# Columns per lockstep batch at most: a batch holds the subproblems of all
+# its columns at once, so its memory grows with its size.
+_BATCH_COLUMNS = 512
 
 
 @dataclass
@@ -69,111 +78,149 @@ class SpaiReport:
     errors: list[tuple[int, str]]
 
 
-def spai_candidates(a: CscMatrix, r_k: SparseVector, s,
-                    at: CscMatrix | None = None) -> np.ndarray:
-    """Candidate indices: columns touching the residual rows, minus the pattern.
+def _ones_pattern(a: CscMatrix) -> _scipy_csc:
+    """A's pattern as a scipy matrix with ones as its data, so nothing cancels."""
+    return _scipy_csc((np.ones(a.nnz), a.row_idx, a.col_ptr), shape=(a.n_rows, a.n_cols))
 
-    ``at`` may carry a precomputed transpose of ``a`` to avoid rebuilding it
-    per call.
+
+def _keys(c) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted ``t * n + j`` keys of the entries of a scipy n-by-n_t matrix, and their values."""
+    c = c.tocsc()
+    owner = np.repeat(np.arange(c.shape[1], dtype=np.int64), np.diff(c.indptr))
+    return owner * c.shape[0] + c.indices, c.data
+
+
+def spai_candidates(a: CscMatrix, r, s, pattern_t=None) -> np.ndarray:
+    """Candidate keys ``t * n + j``: the columns j touching residual t's rows, minus its pattern.
+
+    ``r`` holds the residuals as the columns of a scipy sparse matrix with
+    no stored zeros; ``s`` holds the pattern keys. ``pattern_t``
+    may carry ``_ones_pattern(a).T`` to avoid rebuilding it per call. The
+    keys come out sorted, target after target.
     """
-    if r_k.nnz == 0:
-        return np.empty(0, dtype=np.int64)
-    if at is None:
-        at = transpose(a)
-    return _outside(at.columns(r_k.indices)[0], np.asarray(s, dtype=np.int64))
+    if pattern_t is None:
+        pattern_t = _ones_pattern(a).T
+    r = _scipy_csc(r)
+    touched = _keys(pattern_t @ _scipy_csc((np.ones(r.nnz), r.indices, r.indptr),
+                                           shape=r.shape))[0]
+    s = np.sort(np.asarray(s, dtype=np.int64))
+    return touched[~_member(s, touched)] if len(s) else touched
 
 
-def _outside(values: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """``np.setdiff1d(values, s)``: one sort and dedupe, then a membership test."""
-    uniq = _sorted_unique(values) if len(values) else values
-    s = np.sort(s)
-    return uniq[np.searchsorted(s, uniq, "left") == np.searchsorted(s, uniq, "right")]
+def spai_profitability(a: CscMatrix, r, cand, col_sqnorms: np.ndarray | None = None,
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Post-update residual norms rho for the candidate keys ``cand`` (``t * n + j``).
 
-
-def spai_mu(a: CscMatrix, r_dense: np.ndarray, j: int) -> float:
-    """Optimal step -r.(Ae_j) / ||Ae_j||^2 of the one-dimensional update."""
-    rows, vals = a.col(j)
-    nj2 = float(vals @ vals)
-    if nj2 == 0.0:
-        raise ValueError(f"column {j} of A is zero")
-    return -float(vals @ r_dense[rows]) / nj2
-
-
-def spai_profitability(a: CscMatrix, r_dense: np.ndarray, cand,
-                       col_sqnorms: np.ndarray | None = None,
-                       ) -> tuple[list[tuple[int, float]], list[int]]:
-    """Post-update residual norms rho_j for each candidate.
-
-    rho_j^2 = ||r||^2 - (r.(Ae_j))^2 / ||Ae_j||^2, clamped at zero. Zero
-    columns cannot improve anything and are reported in the second list.
-    All candidates are scored from one gather of their entries.
+    rho^2 = ||r_t||^2 - (r_t . A e_j)^2 / ||A e_j||^2, clamped at zero, with
+    every dot taken from one sparse product A^T R (``r`` as for
+    :func:`spai_candidates`). Each dot and ``||r_t||^2`` sum their terms in
+    row order. Zero columns cannot improve anything. Returns the scored
+    keys, their rho, and the keys of zero columns, each in ``cand`` order.
     """
     cand = np.asarray(cand, dtype=np.int64)
-    rows, vals, pos = a.columns(cand)
-    nj2 = (np.bincount(pos, weights=vals * vals, minlength=len(cand))
-           if col_sqnorms is None else col_sqnorms[cand])
-    live = nj2 != 0.0
-    dots = np.bincount(pos, weights=vals * r_dense[rows], minlength=len(cand))[live]
-    r2 = float(r_dense @ r_dense)
-    rho = np.sqrt(np.maximum(r2 - dots * dots / nj2[live], 0.0))
-    return list(zip(cand[live].tolist(), rho.tolist())), cand[~live].tolist()
+    n = a.n_cols
+    if col_sqnorms is None:
+        col_sqnorms = np.bincount(a.entry_cols(), weights=a.values ** 2, minlength=n)
+    r = _scipy_csc(r)
+    owner = cand // n
+    live = col_sqnorms[cand - owner * n] != 0.0
+    scored, owner = cand[live], owner[live]
+    keys, sums = _keys(a._scipy.T @ r)     # a dot that sums to exactly 0 is not stored
+    keys, sums = np.append(keys, -1), np.append(sums, 0.0)   # -1: the key of none
+    at = np.searchsorted(keys[:-1], scored)
+    dots = np.where(keys[at] == scored, sums[at], 0.0)
+    r2 = np.bincount(np.repeat(np.arange(r.shape[1]), np.diff(r.indptr)),
+                     weights=r.data * r.data, minlength=r.shape[1])
+    rho = np.sqrt(np.maximum(r2[owner] - dots * dots / col_sqnorms[scored - owner * n], 0.0))
+    return scored, rho, cand[~live]
 
 
-def _select_profitable(rhos: list[tuple[int, float]], mn: int) -> list[int]:
-    """The mn smallest rho values; exact ties broken toward the smaller index."""
-    ranked = sorted(rhos, key=lambda t: (t[1], t[0]))
-    return [j for j, _ in ranked[:mn]]
+def _lockstep(a: CscMatrix, ks: np.ndarray, cfg: SpaiConfig,
+              s0=None) -> tuple[list, dict[int, Exception]]:
+    """Grow the columns ``ks`` together, each loop one batch step for all.
+
+    ``s0`` replaces the initial pattern {k} of a batch of one. Returns a
+    result per column (None where it failed) and the exception of each
+    failed column, by position in ``ks``.
+    """
+    n, n_t, guard = a.n_cols, len(ks), cfg.max_workspace_bytes
+    pattern_t = _ones_pattern(a).T
+    col_sqnorms = np.bincount(a.entry_cols(), weights=a.values ** 2, minlength=n)
+    owner, cols = ((np.arange(n_t), ks) if s0 is None else
+                   (np.zeros(len(s0), dtype=np.int64), np.asarray(s0, dtype=np.int64)))
+    ws = ls_init(a, ks, (owner, cols), max_workspace_bytes=guard)
+    retry = np.array([t for t, exc in ws.errors.items()
+                      if isinstance(exc, DegeneratePatternError)], dtype=np.int64)
+    if len(retry):      # a degenerate initial pattern falls back to column k's rows
+        rows, _, pos = a.columns(ks[retry])
+        keep = ~np.isin(owner, retry)
+        owner, cols = np.append(owner[keep], retry[pos]), np.append(cols[keep], rows)
+        ws = ls_init(a, ks, (owner, cols), max_workspace_bytes=guard)
+
+    profiles = [ColumnProfile() for _ in range(n_t)]
+    loops_used = np.zeros(n_t, dtype=np.int64)
+    live = np.ones(n_t, dtype=bool)
+    live[list(ws.errors)] = False
+    for loop in range(cfg.l_max + 1):
+        norms = ws.residual_norms
+        for t in np.flatnonzero(live).tolist():
+            profiles[t].residual_norms.append(float(norms[t]))
+        live &= ~(norms <= cfg.delta)
+        if loop == cfg.l_max or not live.any():
+            break
+        r_owner, r_rows, r_vals = ws.residuals()
+        nz = live[r_owner] & (r_vals != 0.0)
+        ptr = np.concatenate(([0], np.cumsum(np.bincount(r_owner[nz], minlength=n_t))))
+        r = _scipy_csc((r_vals[nz], r_rows[nz], ptr), shape=(a.n_rows, n_t))
+        s_owner, s_cols, _ = ws.pattern()
+        cand = spai_candidates(a, r, s_owner * n + s_cols, pattern_t)
+        n_cand = np.bincount(cand // n, minlength=n_t)
+        for t, c, m in zip(np.flatnonzero(live).tolist(), n_cand[live].tolist(),
+                           np.diff(ptr)[live].tolist()):
+            profiles[t].candidates_per_loop.append(c)
+            profiles[t].residual_rows_per_loop.append(m)
+        keys, rho, _ = spai_profitability(a, r, cand, col_sqnorms)
+        p_owner = keys // n
+        p_cols = keys - p_owner * n
+        n_live = np.bincount(p_owner, minlength=n_t)
+        live &= n_live > 0          # no (live) candidate can touch the residual: stuck
+        if not live.any():
+            break
+        order = np.lexsort((p_cols, rho, p_owner))
+        start = np.cumsum(n_live) - n_live
+        pick = order[np.arange(len(order)) - start[p_owner[order]] < cfg.mn]
+        if cfg.record_choices:
+            chosen = np.split(p_cols[pick], np.cumsum(np.minimum(n_live, cfg.mn))[:-1])
+            for t in np.flatnonzero(live).tolist():
+                lo, hi = start[t], start[t] + n_live[t]
+                profiles[t].choices.append(list(zip(p_cols[lo:hi].tolist(),
+                                                    rho[lo:hi].tolist())))
+                profiles[t].chosen.append(chosen[t].tolist())
+        ws.augment(a, p_cols[pick], p_owner[pick])
+        loops_used[live] += 1
+        live[list(ws.errors)] = False
+
+    norms = ws.residual_norms.tolist()
+    results = [None if t in ws.errors else ColumnResult(
+        m_k=m_k, residual_norm=norms[t], loops_used=int(loops_used[t]),
+        converged=norms[t] <= cfg.delta, profile=profiles[t])
+        for t, m_k in enumerate(ws.solutions())]
+    return results, ws.errors
 
 
-def spai_column(a: CscMatrix, k: int, cfg: SpaiConfig,
-                s0=None, at: CscMatrix | None = None,
-                col_sqnorms: np.ndarray | None = None) -> ColumnResult:
-    """Grow the pattern of column k until the residual meets ``delta``.
+def spai_column(a: CscMatrix, k: int, cfg: SpaiConfig, s0=None) -> ColumnResult:
+    """Grow the pattern of column k until the residual meets ``delta``; the batch of one.
 
-    A degenerate initial pattern falls back to the row pattern of column k
-    of A; if that is degenerate too, the error propagates.
+    A degenerate initial pattern (``s0``, by default {k}) falls back to the
+    row pattern of column k of A; if that is degenerate too, or the
+    workspace guard trips, the error is raised.
     """
     if a.n_rows != a.n_cols:
         raise ValueError("square matrix required")
-    if at is None:
-        at = transpose(a)
-    init = np.asarray([k] if s0 is None else s0, dtype=np.int64)
-    try:
-        ws = ls_init(a, k, init, max_workspace_bytes=cfg.max_workspace_bytes)
-    except DegeneratePatternError:
-        fallback = a.col(k)[0]
-        ws = ls_init(a, k, fallback, max_workspace_bytes=cfg.max_workspace_bytes)
-
-    profile = ColumnProfile()
-    r_dense = np.zeros(a.n_rows)
-    loops_used = 0
-    for loop in range(cfg.l_max + 1):
-        profile.residual_norms.append(ws.residual_norm)
-        if ws.residual_norm <= cfg.delta:
-            break
-        if loop == cfg.l_max:
-            break
-        r_sparse = ws.residual()
-        cand = spai_candidates(a, r_sparse, ws.cols, at=at)
-        profile.candidates_per_loop.append(len(cand))
-        profile.residual_rows_per_loop.append(r_sparse.nnz)
-        if len(cand) == 0:
-            # no candidate can touch the residual: structurally stuck
-            break
-        ws.scatter_residual(r_dense)
-        rhos, _ = spai_profitability(a, r_dense, cand, col_sqnorms=col_sqnorms)
-        if not rhos:
-            break
-        picked = _select_profitable(rhos, cfg.mn)
-        if cfg.record_choices:
-            profile.choices.append(rhos)
-            profile.chosen.append(picked)
-        ws.augment(a, picked)
-        loops_used += 1
-    return ColumnResult(m_k=ws.solution(), residual_norm=ws.residual_norm,
-                        loops_used=loops_used,
-                        converged=ws.residual_norm <= cfg.delta,
-                        profile=profile)
+    results, errors = _lockstep(a, np.array([k], dtype=np.int64), cfg, s0=s0)
+    if errors:
+        raise errors[0]
+    return results[0]
 
 
 def _assemble_columns(n: int, columns: list[SparseVector]) -> CscMatrix:
@@ -187,41 +234,54 @@ def _assemble_columns(n: int, columns: list[SparseVector]) -> CscMatrix:
     return CscMatrix(n, len(columns), col_ptr, row_idx, values)
 
 
-def _map_columns(fn, n: int, threads: int) -> list:
+def _build_columns(a: CscMatrix, threads: int, lockstep, failed):
+    """Results, M, residual norms and ``(column, error)`` list, built in lockstep chunks.
+
+    ``lockstep(ks)`` builds columns ``ks`` as one batch: a result each (None
+    where it failed) and the exceptions by position; ``failed(error)`` makes
+    a failed column's result. ``threads`` threads build ``threads`` contiguous
+    chunks, or more so that none exceeds ``_BATCH_COLUMNS`` columns.
+    """
+    n_chunks = max(threads, -(-a.n_cols // _BATCH_COLUMNS))
+    chunks = np.array_split(np.arange(a.n_cols, dtype=np.int64),
+                            max(1, min(n_chunks, a.n_cols)))
+
+    def run(ks: np.ndarray) -> list:
+        results, errors = lockstep(ks)
+        for t, exc in errors.items():
+            results[t] = failed(f"{type(exc).__name__}: {exc}")
+        return results
+
     if threads <= 1:
-        return [fn(k) for k in range(n)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(n)))
+        parts = [run(ks) for ks in chunks]
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            parts = list(pool.map(run, chunks))
+    results = [r for part in parts for r in part]
+    m = _assemble_columns(a.n_rows, [r.m_k for r in results])
+    errors = [(k, r.error) for k, r in enumerate(results) if r.error]
+    return results, m, np.array([r.residual_norm for r in results]), errors
 
 
 def spai(a: CscMatrix, cfg: SpaiConfig | None = None,
          threads: int = 1) -> tuple[CscMatrix, SpaiReport]:
-    """Approximate inverse of A, one independent subproblem per column.
+    """Approximate inverse of A, all columns in lockstep.
 
     A column that cannot be computed (zero column, workspace guard) yields
     its best effort, here the zero vector, and is counted as non-converged
-    rather than aborting the whole matrix.
+    rather than aborting the whole matrix. ``threads`` splits the columns
+    as for ``psai``.
     """
     cfg = cfg or SpaiConfig()
-    at = transpose(a)
-    col_sqnorms = np.bincount(a.entry_cols(), weights=a.values ** 2, minlength=a.n_cols)
-
-    def run(k: int) -> ColumnResult:
-        try:
-            return spai_column(a, k, cfg, at=at, col_sqnorms=col_sqnorms)
-        except (DegeneratePatternError, WorkspaceGuardError) as exc:
-            empty = SparseVector(a.n_cols, np.empty(0, dtype=np.int64), np.empty(0))
-            return ColumnResult(m_k=empty, residual_norm=1.0, loops_used=0,
-                                converged=False, profile=ColumnProfile(),
-                                error=f"{type(exc).__name__}: {exc}")
-
-    results = _map_columns(run, a.n_cols, threads)
-    m = _assemble_columns(a.n_rows, [r.m_k for r in results])
-    residuals = np.array([r.residual_norm for r in results])
+    if a.n_rows != a.n_cols and a.n_cols:
+        raise ValueError("square matrix required")
+    empty = SparseVector(a.n_cols, np.empty(0, dtype=np.int64), np.empty(0))
+    results, m, residuals, errors = _build_columns(
+        a, threads, lambda ks: _lockstep(a, ks, cfg),
+        lambda error: ColumnResult(m_k=empty, residual_norm=1.0, loops_used=0,
+                                   converged=False, profile=ColumnProfile(), error=error))
     max_cand = max((max(r.profile.candidates_per_loop, default=0) for r in results),
                    default=0)
-    errors = [(k, r.error) for k, r in enumerate(results) if r.error]
-    report = SpaiReport(residuals=residuals,
-                        n_c=int(np.sum(residuals > cfg.delta)),
+    report = SpaiReport(residuals=residuals, n_c=int(np.sum(residuals > cfg.delta)),
                         columns=results, max_candidates=max_cand, errors=errors)
     return m, report

@@ -6,22 +6,31 @@ passed in, as test oracles for ``spai.spai_profitability``,
 ``has_full_structural_diagonal``. The per-line Matrix Market reader, the
 per-column ``split`` and the two-pass DFS behind
 ``splitting._strongly_connected`` are kept verbatim, their imports aside,
-and so are the per-column PSAI build (``psai_column`` and ``psai``) that
-the lockstep build replaced. Its least-squares kernel is the module global
-``ls_init``, so a test may swap in another one.
+and so are the per-column PSAI build (``psai_column`` and ``psai``) and
+the per-column SPAI build (``spai_candidates``, ``_select_profitable``,
+``spai_column`` and ``spai``) that the lockstep builds replaced, with the
+worker pool they ran on (``_map_columns``). They find their least-squares
+kernel ``ls_init``, and SPAI its ``spai_candidates`` and
+``spai_profitability``, as module globals, so a test may swap in another
+one. The one change to the SPAI loop: it writes the residual into its
+dense vector from ``ws.residual()``, as the workspace no longer has
+``scatter_residual``.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from saikit.lstsq import DegeneratePatternError, WorkspaceGuardError, ls_init
+from saikit.lstsq import DegeneratePatternError, WorkspaceGuardError, _sorted_unique, ls_init
 from saikit.psai import PsaiColumnResult, PsaiConfig, PsaiReport, psai_tol
 from saikit.sparse_core import (CscMatrix, MatrixMarketError, PathOrStream, SparseVector,
-                                UnsupportedFieldError, _open_text, column_stats, norm1)
-from saikit.spai import _assemble_columns, _map_columns
+                                UnsupportedFieldError, _open_text, column_stats, norm1,
+                                transpose)
+from saikit.spai import (ColumnProfile, ColumnResult, SpaiConfig, SpaiReport,
+                         _assemble_columns)
 from saikit.splitting import SplitSystem, _keep_indices
 
 
@@ -327,4 +336,123 @@ def psai(a: CscMatrix, cfg: PsaiConfig | None = None, threads: int = 1,
     report = PsaiReport(residuals=residuals,
                         l_m=max((r.loops_used for r in results), default=0),
                         columns=results, errors=errors)
+    return m, report
+
+
+def _map_columns(fn, n: int, threads: int) -> list:
+    if threads <= 1:
+        return [fn(k) for k in range(n)]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, range(n)))
+
+
+def spai_candidates(a: CscMatrix, r_k: SparseVector, s,
+                    at: CscMatrix | None = None) -> np.ndarray:
+    """Candidate indices: columns touching the residual rows, minus the pattern.
+
+    ``at`` may carry a precomputed transpose of ``a`` to avoid rebuilding it
+    per call.
+    """
+    if r_k.nnz == 0:
+        return np.empty(0, dtype=np.int64)
+    if at is None:
+        at = transpose(a)
+    return _outside(at.columns(r_k.indices)[0], np.asarray(s, dtype=np.int64))
+
+
+def _outside(values: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """``np.setdiff1d(values, s)``: one sort and dedupe, then a membership test."""
+    uniq = _sorted_unique(values) if len(values) else values
+    s = np.sort(s)
+    return uniq[np.searchsorted(s, uniq, "left") == np.searchsorted(s, uniq, "right")]
+
+
+def _select_profitable(rhos: list[tuple[int, float]], mn: int) -> list[int]:
+    """The mn smallest rho values; exact ties broken toward the smaller index."""
+    ranked = sorted(rhos, key=lambda t: (t[1], t[0]))
+    return [j for j, _ in ranked[:mn]]
+
+
+def spai_column(a: CscMatrix, k: int, cfg: SpaiConfig,
+                s0=None, at: CscMatrix | None = None,
+                col_sqnorms: np.ndarray | None = None) -> ColumnResult:
+    """Grow the pattern of column k until the residual meets ``delta``.
+
+    A degenerate initial pattern falls back to the row pattern of column k
+    of A; if that is degenerate too, the error propagates.
+    """
+    if a.n_rows != a.n_cols:
+        raise ValueError("square matrix required")
+    if at is None:
+        at = transpose(a)
+    init = np.asarray([k] if s0 is None else s0, dtype=np.int64)
+    try:
+        ws = ls_init(a, k, init, max_workspace_bytes=cfg.max_workspace_bytes)
+    except DegeneratePatternError:
+        fallback = a.col(k)[0]
+        ws = ls_init(a, k, fallback, max_workspace_bytes=cfg.max_workspace_bytes)
+
+    profile = ColumnProfile()
+    r_dense = np.zeros(a.n_rows)
+    loops_used = 0
+    for loop in range(cfg.l_max + 1):
+        profile.residual_norms.append(ws.residual_norm)
+        if ws.residual_norm <= cfg.delta:
+            break
+        if loop == cfg.l_max:
+            break
+        r_sparse = ws.residual()
+        cand = spai_candidates(a, r_sparse, ws.cols, at=at)
+        profile.candidates_per_loop.append(len(cand))
+        profile.residual_rows_per_loop.append(r_sparse.nnz)
+        if len(cand) == 0:
+            # no candidate can touch the residual: structurally stuck
+            break
+        r_dense[ws.rows] = 0.0
+        r_dense[r_sparse.indices] = r_sparse.values
+        rhos, _ = spai_profitability(a, r_dense, cand, col_sqnorms=col_sqnorms)
+        if not rhos:
+            break
+        picked = _select_profitable(rhos, cfg.mn)
+        if cfg.record_choices:
+            profile.choices.append(rhos)
+            profile.chosen.append(picked)
+        ws.augment(a, picked)
+        loops_used += 1
+    return ColumnResult(m_k=ws.solution(), residual_norm=ws.residual_norm,
+                        loops_used=loops_used,
+                        converged=ws.residual_norm <= cfg.delta,
+                        profile=profile)
+
+
+def spai(a: CscMatrix, cfg: SpaiConfig | None = None,
+         threads: int = 1) -> tuple[CscMatrix, SpaiReport]:
+    """Approximate inverse of A, one independent subproblem per column.
+
+    A column that cannot be computed (zero column, workspace guard) yields
+    its best effort, here the zero vector, and is counted as non-converged
+    rather than aborting the whole matrix.
+    """
+    cfg = cfg or SpaiConfig()
+    at = transpose(a)
+    col_sqnorms = np.bincount(a.entry_cols(), weights=a.values ** 2, minlength=a.n_cols)
+
+    def run(k: int) -> ColumnResult:
+        try:
+            return spai_column(a, k, cfg, at=at, col_sqnorms=col_sqnorms)
+        except (DegeneratePatternError, WorkspaceGuardError) as exc:
+            empty = SparseVector(a.n_cols, np.empty(0, dtype=np.int64), np.empty(0))
+            return ColumnResult(m_k=empty, residual_norm=1.0, loops_used=0,
+                                converged=False, profile=ColumnProfile(),
+                                error=f"{type(exc).__name__}: {exc}")
+
+    results = _map_columns(run, a.n_cols, threads)
+    m = _assemble_columns(a.n_rows, [r.m_k for r in results])
+    residuals = np.array([r.residual_norm for r in results])
+    max_cand = max((max(r.profile.candidates_per_loop, default=0) for r in results),
+                   default=0)
+    errors = [(k, r.error) for k, r in enumerate(results) if r.error]
+    report = SpaiReport(residuals=residuals,
+                        n_c=int(np.sum(residuals > cfg.delta)),
+                        columns=results, max_candidates=max_cand, errors=errors)
     return m, report

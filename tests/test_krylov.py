@@ -1,7 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from saikit import CscMatrix, PsaiConfig, bicgstab, matvec, psai
+from saikit import CscMatrix, PsaiConfig, bicgstab, generate_test_matrix, matvec, psai
 from .conftest import tridiagonal
 
 
@@ -104,3 +106,19 @@ class TestFailureModes:
     def test_invalid_tol(self):
         with pytest.raises(ValueError):
             bicgstab(op(CscMatrix.identity(2)), np.ones(2), tol=0.0)
+
+
+def test_overflowing_step_is_silent():
+    # a preconditioner this poor (guard-skipped columns) overflows a step
+    a = generate_test_matrix("dominant-row", 60, planted_dense_cols=0, seed=0)
+    m, _ = psai(a, PsaiConfig(delta=0.05, max_workspace_bytes=3000))
+    b = matvec(a, np.ones(60))
+
+    def solve(action: str):
+        with warnings.catch_warnings():
+            warnings.simplefilter(action)
+            return bicgstab(op(a), b, apply_precond=op(m), tol=1e-8, max_iter=500)
+
+    quiet, strict = solve("ignore"), solve("error")
+    assert (strict.flag, strict.iterations) == (quiet.flag, quiet.iterations)
+    assert strict.x.tobytes() == quiet.x.tobytes()

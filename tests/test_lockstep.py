@@ -1,21 +1,23 @@
-"""The lockstep PSAI build and the batched least-squares kernel.
+"""The lockstep SPAI and PSAI builds and the batched least-squares kernel.
 
-``loop_reference`` keeps the per-column PSAI loop the lockstep build
-replaced; ``psai()`` must match it column for column. The batched kernel
-must give every target the same state, bit for bit, as the same target
-solved alone, and stay within rounding of the Gram-Schmidt reference.
-A column's result must not depend on the batch it is built in.
+``loop_reference`` keeps the per-column SPAI and PSAI loops the lockstep
+builds replaced; ``spai()`` and ``psai()`` must match them column for
+column. The batched kernel must give every target the same state, bit for
+bit, as the same target solved alone, and stay within rounding of the
+Gram-Schmidt reference. A column's result must not depend on the batch it
+is built in.
 """
 
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from saikit import (CscMatrix, PsaiConfig, generate_test_matrix, ls_init, permute_rows,
-                    psai, psai_column)
+from saikit import (CscMatrix, PsaiConfig, SpaiConfig, generate_test_matrix, ls_init,
+                    permute_rows, psai, psai_column, spai, spai_column)
 
 from . import gs_reference, loop_reference
 from .test_lstsq_reference import EXCEPTIONS, column_value_difference, ls_programs
@@ -75,29 +77,67 @@ def test_psai_matches_per_column_loop(seed):
         assert new.error == old.error
 
 
+def spai_settings(rng) -> SpaiConfig:
+    guard = None if rng.random() < 0.7 else int(rng.integers(200, 20000))
+    return SpaiConfig(delta=float(rng.choice([0.05, 0.1, 0.2, 0.4])),
+                      l_max=int(rng.integers(0, 7)), mn=int(rng.integers(1, 6)),
+                      record_choices=True, max_workspace_bytes=guard)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seeds)
+def test_spai_matches_per_column_loop(seed):
+    rng = np.random.default_rng(seed)
+    a = psai_input(rng)
+    cfg = spai_settings(rng)
+    m_new, rep_new = spai(a, cfg)
+    m_old, rep_old = loop_reference.spai(a, cfg)
+    assert np.array_equal(m_new.col_ptr, m_old.col_ptr)
+    assert np.array_equal(m_new.row_idx, m_old.row_idx)
+    assert column_value_difference(m_new, m_old) <= 1e-11
+    assert rep_new.errors == rep_old.errors
+    assert (rep_new.n_c, rep_new.max_candidates) == (rep_old.n_c, rep_old.max_candidates)
+    # rho^2 = ||r||^2 - dot^2 / ||A e_j||^2 with each sum in another order
+    rho2_tol = 4 * a.n_rows * np.finfo(float).eps
+    for new, old in zip(rep_new.columns, rep_old.columns):
+        assert (new.loops_used, new.converged, new.error) == \
+            (old.loops_used, old.converged, old.error)
+        assert abs(new.residual_norm - old.residual_norm) <= 1e-12
+        p_new, p_old = new.profile, old.profile
+        assert p_new.candidates_per_loop == p_old.candidates_per_loop
+        assert p_new.residual_rows_per_loop == p_old.residual_rows_per_loop
+        assert p_new.chosen == p_old.chosen
+        assert len(p_new.residual_norms) == len(p_old.residual_norms)
+        assert np.allclose(p_new.residual_norms, p_old.residual_norms, rtol=0, atol=1e-12)
+        for got, want, r in zip(p_new.choices, p_old.choices, p_old.residual_norms):
+            assert [j for j, _ in got] == [j for j, _ in want]
+            rho2 = np.array([[x for _, x in got], [x for _, x in want]]) ** 2
+            assert np.all(np.abs(rho2[0] - rho2[1]) <= rho2_tol * r * r)
+
+
 def assert_same_column(got, want) -> None:
     """Two column results, equal bit for bit."""
     assert np.array_equal(got.m_k.indices, want.m_k.indices)
     assert got.m_k.values.tobytes() == want.m_k.values.tobytes()
-    assert (got.residual_norm, got.loops_used, got.dropped_count, got.converged,
-            got.drops, got.tol_history, got.error) == \
-        (want.residual_norm, want.loops_used, want.dropped_count, want.converged,
-         want.drops, want.tol_history, want.error)
+    rest = [f.name for f in fields(got) if f.name != "m_k"]
+    assert [getattr(got, f) for f in rest] == [getattr(want, f) for f in rest]
 
 
-@pytest.mark.parametrize("kind", KINDS)
-@pytest.mark.parametrize("shuffled", [False, True])
-def test_result_does_not_depend_on_the_batch(kind, shuffled):
-    n = 24
+def batch_input(kind: str, shuffled: bool, n: int = 24) -> CscMatrix:
     a = generate_test_matrix(kind, n, planted_dense_cols=1, seed=3)
     if shuffled:
         a = permute_rows(a, np.random.default_rng(3).permutation(n))
-    cfg = PsaiConfig(delta=0.1)
-    m1, rep1 = psai(a, cfg, threads=1)
+    return a
+
+
+def check_batch_invariance(build, build_column, a: CscMatrix, cfg) -> None:
+    """Threads 1, 3 and n give the same results, and so does each column alone."""
+    n = a.n_cols
+    m1, rep1 = build(a, cfg, threads=1)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)         # more thread switches inside the batches
     try:
-        built = [psai(a, cfg, threads=threads) for threads in (3, n)]
+        built = [build(a, cfg, threads=threads) for threads in (3, n)]
     finally:
         sys.setswitchinterval(interval)
     for m_t, rep_t in built:
@@ -106,18 +146,41 @@ def test_result_does_not_depend_on_the_batch(kind, shuffled):
             assert_same_column(got, want)
     for k in range(n):
         try:
-            alone = psai_column(a, k, cfg)
+            alone = build_column(a, k, cfg)
         except EXCEPTIONS as exc:
             assert rep1.columns[k].error == f"{type(exc).__name__}: {exc}"
             continue
         assert_same_column(alone, rep1.columns[k])
 
 
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("shuffled", [False, True])
+def test_result_does_not_depend_on_the_batch(kind, shuffled):
+    check_batch_invariance(psai, psai_column, batch_input(kind, shuffled), PsaiConfig(delta=0.1))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("shuffled", [False, True])
+def test_spai_result_does_not_depend_on_the_batch(kind, shuffled):
+    check_batch_invariance(spai, spai_column, batch_input(kind, shuffled),
+                           SpaiConfig(delta=0.1, record_choices=True))
+
+
 def test_batches_of_bounded_size_give_the_same_preconditioner(monkeypatch):
     a = generate_test_matrix("m-matrix", 30, planted_dense_cols=1, seed=4)
     whole, _ = psai(a, PsaiConfig(delta=0.1))
-    monkeypatch.setattr(sys.modules["saikit.psai"], "_BATCH_COLUMNS", 7)
+    monkeypatch.setattr(sys.modules["saikit.spai"], "_BATCH_COLUMNS", 7)
     assert psai(a, PsaiConfig(delta=0.1))[0].same_as(whole)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("shuffled", [False, True])
+def test_spai_batches_of_bounded_size_give_the_same_preconditioner(kind, shuffled,
+                                                                   monkeypatch):
+    a = batch_input(kind, shuffled, n=30)
+    whole, _ = spai(a, SpaiConfig(delta=0.1))
+    monkeypatch.setattr(sys.modules["saikit.spai"], "_BATCH_COLUMNS", 7)
+    assert spai(a, SpaiConfig(delta=0.1))[0].same_as(whole)
 
 
 def target_state(ws, t: int):

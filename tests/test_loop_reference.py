@@ -2,21 +2,22 @@
 
 ``loop_reference`` keeps the per-candidate ``spai_profitability``, the
 ``bincount`` products, the per-column diagonal scans, the per-line Matrix
-Market reader, the per-column ``split`` and the DFS connectivity check.
-``matvec``, ``matvec_t``, the diagonal, the reader, ``split`` and the
-connectivity check must match them exactly. Profitability sums its dot
-products in another order, so rho may differ at rounding level, but the
-candidates and the SPAI preconditioner built from them must not.
+Market reader, the per-column ``split``, the DFS connectivity check and
+the per-column SPAI build. ``matvec``, ``matvec_t``, the diagonal, the
+reader, ``split`` and the connectivity check must match them exactly.
+Profitability sums its dot products in another order, so rho may differ at
+rounding level, but the candidates and the SPAI preconditioner built from
+them must not.
 """
 
 import io
 import warnings
-from importlib import import_module
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csc_matrix
 
 from saikit import (CscMatrix, DegeneratePatternError, MatrixMarketError, SparseVector,
                     SpaiConfig, generate_test_matrix, ls_init, matvec, matvec_t,
@@ -55,15 +56,15 @@ def test_profitability_matches_per_candidate_loop(seed):
     if rng.random() < 0.5:
         sq = np.bincount(a.entry_cols(), weights=a.values ** 2, minlength=n)
 
-    rhos, skipped = spai_profitability(a, r, cand, col_sqnorms=sq)
+    # the batch of one: the keys t * n + j of target 0 are the indices j
+    keys, got, skipped = spai_profitability(a, csc_matrix(r[:, None]), cand, col_sqnorms=sq)
     ref_rhos, ref_skipped = loop_reference.spai_profitability(a, r, cand, col_sqnorms=sq)
-    assert skipped == ref_skipped
-    assert [j for j, _ in rhos] == [j for j, _ in ref_rhos]
-    assert all(type(j) is int and type(rho) is float for j, rho in rhos)
+    assert skipped.tolist() == ref_skipped
+    assert keys.tolist() == [j for j, _ in ref_rhos]
+    assert keys.dtype == np.int64 and got.dtype == np.float64
     # Dots of length <= m summed in two orders differ by at most m eps
     # ||A e_j|| ||r||, so rho^2 = ||r||^2 - dot^2 / ||A e_j||^2 by a few
     # m eps ||r||^2. rho itself may differ by far more when rho^2 cancels.
-    got = np.array([rho for _, rho in rhos])
     want = np.array([rho for _, rho in ref_rhos])
     tol = 4 * m * np.finfo(float).eps * float(r @ r)
     assert np.all(np.abs(got ** 2 - want ** 2) <= tol)
@@ -73,12 +74,13 @@ def test_profitability_matches_per_candidate_loop(seed):
 def test_spai_build_matches_per_candidate_loop(a, monkeypatch):
     cfg = SpaiConfig(delta=0.1)
     m_new = spai(a, cfg)[0]
-    # without col_sqnorms the loop takes ||A e_j||^2 as a per-column dot, the
-    # way spai() used to precompute it
-    monkeypatch.setattr(import_module("saikit.spai"), "spai_profitability",
-                        lambda a, r, cand, col_sqnorms=None:
-                        loop_reference.spai_profitability(a, r, cand))
-    m_old = spai(a, cfg)[0]
+    # the per-column loop, scoring one candidate at a time; without
+    # col_sqnorms it takes ||A e_j||^2 as a per-column dot, the way spai()
+    # used to precompute it
+    monkeypatch.setattr(loop_reference, "spai_profitability",
+                        lambda a, r, cand, col_sqnorms=None,
+                        score=loop_reference.spai_profitability: score(a, r, cand))
+    m_old = loop_reference.spai(a, cfg)[0]
     assert m_new.same_as(m_old)
 
 

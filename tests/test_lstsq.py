@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from saikit import (CscMatrix, DegeneratePatternError, WorkspaceGuardError,
-                    ls_augment, ls_drop_columns, ls_init)
+from saikit import CscMatrix, DegeneratePatternError, WorkspaceGuardError, ls_init
 
 
 def dense_ls_residual(dense: np.ndarray, cols, k: int) -> float:
@@ -83,7 +82,7 @@ class TestAugment:
                                   [0.0, 1.0, 0.0]])
         ws = ls_init(a, 1, [0])
         before = ws.residual_norm
-        ls_augment(ws, [1], a)
+        ws.augment(a, [1])
         assert ws.residual_norm <= before + 1e-12
         assert ws.residual_norm == pytest.approx(before, abs=1e-12)
 
@@ -92,7 +91,7 @@ class TestAugment:
         dense = rng.standard_normal((6, 6)) + 6 * np.eye(6)
         a = CscMatrix.from_dense(dense)
         ws = ls_init(a, 2, [2])
-        ls_augment(ws, [0, 1, 3, 4, 5], a)
+        ws.augment(a, [0, 1, 3, 4, 5])
         assert ws.residual_norm <= 1e-10
         # oracle: from-scratch full-pattern solve
         assert dense_ls_residual(dense, range(6), 2) <= 1e-10
@@ -103,7 +102,7 @@ class TestAugment:
         a = CscMatrix.from_dense(dense)
         ws = ls_init(a, 4, [4])
         for j in [1, 7, 2, 9]:
-            ls_augment(ws, [j], a)
+            ws.augment(a, [j])
         fresh = ls_init(a, 4, [4, 1, 7, 2, 9])
         assert np.allclose(ws.solution().to_dense(), fresh.solution().to_dense(),
                            atol=1e-9)
@@ -112,13 +111,13 @@ class TestAugment:
         a = CscMatrix.identity(3)
         ws = ls_init(a, 0, [0])
         with pytest.raises(ValueError):
-            ls_augment(ws, [0], a)
+            ws.augment(a, [0])
 
     def test_out_of_range(self):
         a = CscMatrix.identity(3)
         ws = ls_init(a, 0, [0])
         with pytest.raises(ValueError):
-            ls_augment(ws, [5], a)
+            ws.augment(a, [5])
 
 
 class TestDrop:
@@ -132,7 +131,7 @@ class TestDrop:
         sol = ws.solution().to_dense()
         assert sol[2] == 0.0
         before = ws.residual_norm
-        ws2 = ls_drop_columns(ws, [2], a)
+        ws2 = ws.drop_columns(a, [2])
         assert abs(ws2.residual_norm - before) <= 1e-12
 
     def test_drop_then_readd(self):
@@ -141,15 +140,15 @@ class TestDrop:
         a = CscMatrix.from_dense(dense)
         ws = ls_init(a, 3, [3, 1, 5])
         sol_before = ws.solution().to_dense()
-        ws2 = ls_drop_columns(ws, [5], a)
-        ls_augment(ws2, [5], a)
+        ws2 = ws.drop_columns(a, [5])
+        ws2.augment(a, [5])
         assert np.allclose(ws2.solution().to_dense(), sol_before, atol=1e-9)
 
     def test_drop_everything_rejected(self):
         a = CscMatrix.identity(2)
         ws = ls_init(a, 0, [0])
         with pytest.raises(DegeneratePatternError):
-            ls_drop_columns(ws, [0], a)
+            ws.drop_columns(a, [0])
 
 
 @st.composite
@@ -197,7 +196,7 @@ def test_augment_monotonicity(instance):
     while len(remaining):
         take = remaining[: max(1, len(remaining) // 2)]
         remaining = remaining[len(take):]
-        ls_augment(ws, take, a)
+        ws.augment(a, take)
         assert ws.residual_norm <= prev + 1e-12
         prev = ws.residual_norm
     assert abs(ws.residual_norm - full_residual(dense, ws)) <= \

@@ -6,11 +6,10 @@ and must agree on the active sets, the exceptions raised, the residual
 norms and the fitted vectors A(:, S) m; exact-zero coefficients may differ
 at rounding level and are not compared. Whole SPAI and PSAI
 preconditioners built with each kernel must have the same pattern and
-values equal to within rounding; the PSAI side of that comparison is the
-per-column loop of ``loop_reference`` running on the reference kernel.
+values equal to within rounding; the old side of that comparison is the
+per-column SPAI and PSAI loops of ``loop_reference`` running on the
+reference kernel.
 """
-
-from importlib import import_module
 
 import numpy as np
 import pytest
@@ -175,13 +174,12 @@ def assert_same_preconditioner(m_new: CscMatrix, m_old: CscMatrix) -> None:
 
 @pytest.mark.parametrize("a", generator_inputs(60, seed=5))
 def test_preconditioners_match_with_reference_kernel(a, monkeypatch):
-    # SPAI calls ls_init per column. The lockstep PSAI build hands ls_init a
-    # batch, which the reference cannot take, so the per-column PSAI loop it
-    # replaced runs on the reference kernel instead.
+    # The lockstep builds hand ls_init a batch, which the reference cannot
+    # take, so the per-column loops they replaced run on the reference
+    # kernel instead.
     spai_cfg, psai_cfg = SpaiConfig(delta=0.2), PsaiConfig(delta=0.1)
     new = [spai(a, spai_cfg)[0], psai(a, psai_cfg)[0]]
-    monkeypatch.setattr(import_module("saikit.spai"), "ls_init", gs_reference.ls_init)
     monkeypatch.setattr(loop_reference, "ls_init", gs_reference.ls_init)
-    old = [spai(a, spai_cfg)[0], loop_reference.psai(a, psai_cfg)[0]]
+    old = [loop_reference.spai(a, spai_cfg)[0], loop_reference.psai(a, psai_cfg)[0]]
     for m_new, m_old in zip(new, old):
         assert_same_preconditioner(m_new, m_old)

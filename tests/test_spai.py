@@ -3,11 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.sparse import csc_matrix
 
-from saikit import (CscMatrix, SparseVector, SpaiConfig, spai,
-                    spai_candidates, spai_column, spai_mu, spai_profitability)
-from saikit.spai import _outside
+from saikit import CscMatrix, SpaiConfig, spai, spai_candidates, spai_column, spai_profitability
 from .conftest import random_dominant, tridiagonal, with_dense_column
+
+
+def residuals(*r) -> csc_matrix:
+    """Dense residual vectors as the columns of the sparse R the SPAI kernels take."""
+    return csc_matrix(np.column_stack(r))
 
 
 def golden_section_rho(a_dense: np.ndarray, r: np.ndarray, j: int) -> float:
@@ -34,14 +38,14 @@ def golden_section_rho(a_dense: np.ndarray, r: np.ndarray, j: int) -> float:
 class TestCandidates:
     def test_identity_single(self):
         a = CscMatrix.identity(5)
-        r = SparseVector.from_dense(np.eye(5)[3])
+        r = residuals(np.eye(5)[3])
         cand = spai_candidates(a, r, [0])
         assert list(cand) == [3]
 
     def test_dense_column_floods_candidates(self):
         n = 12
         a = with_dense_column(tridiagonal(n), 3, keep_diag=2.0)
-        r = SparseVector.from_dense(np.ones(n))
+        r = residuals(np.ones(n))
         cand = spai_candidates(a, r, [5])
         # oracle: brute-force from the dense pattern
         dense = a.to_dense()
@@ -53,58 +57,73 @@ class TestCandidates:
 
     def test_zero_residual(self):
         a = CscMatrix.identity(3)
-        r = SparseVector(3, [], [])
+        r = residuals(np.zeros(3))
         assert len(spai_candidates(a, r, [0])) == 0
+
+    def test_batch_keys(self):
+        # target t's candidate j comes back as the key t * n + j
+        a = tridiagonal(6)
+        r = residuals(np.eye(6)[0], np.eye(6)[4])
+        cand = spai_candidates(a, r, [0, 6 + 4])
+        assert list(cand) == [1, 6 + 3, 6 + 5]
 
 
 index_arrays = arrays(np.int64, st.integers(0, 40), elements=st.integers(0, 25))
 
 
 @settings(max_examples=300, deadline=None)
-@given(index_arrays, index_arrays)
-def test_candidate_set_difference_matches_setdiff1d(values, s):
+@given(index_arrays, index_arrays, st.integers(0, 2 ** 31 - 1))
+def test_candidate_set_difference_matches_setdiff1d(rows, s, seed):
     # repeats and unsorted arrays on both sides, and either side may be empty
-    got = _outside(values, s)
-    want = np.setdiff1d(values, s)
+    dense = np.random.default_rng(seed).random((26, 26)) < 0.1
+    r = np.zeros(26)
+    r[rows] = 1.0
+    got = spai_candidates(CscMatrix.from_dense(dense.astype(float)), residuals(r), s)
+    want = np.setdiff1d(np.flatnonzero(dense[rows].any(axis=0)), s)
     assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 class TestProfitability:
     def test_orthogonal_column_cannot_help(self):
         a = CscMatrix.from_dense([[1.0, 0.0], [0.0, 1.0]])
-        r = np.array([1.0, 0.0])
-        rhos, _ = spai_profitability(a, r, [1])
-        assert rhos == [(1, pytest.approx(1.0))]
+        r = residuals([1.0, 0.0])
+        keys, rho, _ = spai_profitability(a, r, [1])
+        assert list(keys) == [1] and list(rho) == [pytest.approx(1.0)]
 
     def test_parallel_column_zeroes_residual(self):
         a = CscMatrix.from_dense([[2.0, 1.0], [0.0, 0.5]])
-        r = np.array([2.0, 1.0])  # parallel to column 1
-        rhos, _ = spai_profitability(a, r, [1])
-        assert rhos[0][1] == pytest.approx(0.0, abs=1e-12)
+        r = residuals([2.0, 1.0])  # parallel to column 1
+        _, rho, _ = spai_profitability(a, r, [1])
+        assert rho[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_golden_section_oracle(self):
         rng = np.random.default_rng(21)
         dense = rng.standard_normal((10, 10))
         a = CscMatrix.from_dense(dense)
         r = rng.standard_normal(10)
-        rhos, _ = spai_profitability(a, r, list(range(10)))
-        for j, rho in rhos:
-            assert rho == pytest.approx(golden_section_rho(dense, r, j), abs=1e-8)
+        keys, rho, _ = spai_profitability(a, residuals(r), list(range(10)))
+        for j, rho_j in zip(keys, rho):
+            assert rho_j == pytest.approx(golden_section_rho(dense, r, j), abs=1e-8)
 
     def test_zero_column_skipped(self):
         a = CscMatrix.from_dense([[1.0, 0.0], [0.0, 0.0]])
-        rhos, skipped = spai_profitability(a, np.array([1.0, 1.0]), [0, 1])
-        assert [j for j, _ in rhos] == [0]
-        assert skipped == [1]
+        keys, _, skipped = spai_profitability(a, residuals([1.0, 1.0]), [0, 1])
+        assert list(keys) == [0]
+        assert list(skipped) == [1]
 
-    def test_mu_formula(self):
-        rng = np.random.default_rng(4)
-        dense = rng.standard_normal((6, 6))
+    def test_batch_matches_targets_scored_alone(self):
+        rng = np.random.default_rng(8)
+        dense = rng.standard_normal((9, 9)) * (rng.random((9, 9)) < 0.4)
         a = CscMatrix.from_dense(dense)
-        r = rng.standard_normal(6)
-        for j in range(6):
-            expected = -(r @ dense[:, j]) / (dense[:, j] @ dense[:, j])
-            assert spai_mu(a, r, j) == pytest.approx(expected, rel=1e-14)
+        r = rng.standard_normal((9, 3)) * (rng.random((9, 3)) < 0.6)
+        cand = np.array([0, 4, 8, 9 + 2, 9 + 3, 18 + 0, 18 + 7])
+        keys, rho, _ = spai_profitability(a, csc_matrix(r), cand)
+        for t in range(3):
+            alone_keys, alone_rho, _ = spai_profitability(
+                a, residuals(r[:, t]), cand[cand // 9 == t] - 9 * t)
+            mine = keys // 9 == t
+            assert np.array_equal(keys[mine] - 9 * t, alone_keys)
+            assert rho[mine].tobytes() == alone_rho.tobytes()
 
 
 class TestColumn:
