@@ -18,6 +18,7 @@ import time
 import numpy as np
 
 from . import driver as _driver
+from .driver import SCHEMA_VERSION
 from .lstsq import DegeneratePatternError, WorkspaceGuardError
 from .psai import PsaiConfig
 from .spai import SpaiConfig
@@ -26,7 +27,6 @@ from .sparse_core import (CscMatrix, MatrixMarketError, StructurallySingularErro
                           write_matrix_market)
 from .splitting import condition_estimates, classify, split
 
-SCHEMA_VERSION = 1
 DEFAULT_MEM_GUARD = 2 << 30  # 2 GiB dense-workspace guard
 
 EXIT_OK = 0
@@ -275,35 +275,19 @@ def cmd_bench(args) -> int:
     for variant in wanted:
         method = "spai" if "SPAI" in variant else "psai"
         cfg = dataclasses.replace(base, method=method)
+        solve = _driver.solve_standard if variant.startswith("S-") else _driver.solve_irregular
         t0 = time.perf_counter()
-        try:
-            if variant.startswith("S-"):
-                report = _driver.solve_standard(a, b, cfg)
-            else:
-                report = _driver.solve_irregular(a, b, cfg)
-        except (DegeneratePatternError, WorkspaceGuardError) as exc:
-            rows.append({"variant": variant, "status": f"skipped: {_guard_label(exc)}"})
-            continue
+        report = solve(a, b, cfg)
         elapsed = time.perf_counter() - t0
         stats = report.preconditioner_stats
-        row = {
-            "variant": variant,
-            "status": "ok",
-            "T_setup": stats.get("t_setup", 0.0),
-            "T_solve": elapsed - stats.get("t_setup", 0.0),
-            "spar": stats.get("spar", 0.0),
-            "iter": report.max_iter_used,
-            "a": report.a,
-        }
-        if method == "spai":
-            row["n_c"] = stats.get("n_c")
-        else:
-            row["l_m"] = stats.get("l_m")
-        guard_hits = _guard_failures(report)
-        if guard_hits:
+        quality = "n_c" if method == "spai" else "l_m"
+        row = {"variant": variant, "status": "ok", "spar": stats["spar"],
+               quality: stats[quality]}
+        if stats["guard_hits"]:
             row["status"] = "skipped: workspace guard"
-            for key in ("T_setup", "T_solve", "iter", "a"):
-                row.pop(key, None)
+        else:
+            row.update(T_setup=stats["t_setup"], T_solve=elapsed - stats["t_setup"],
+                       iter=report.max_iter_used, a=report.a)
         rows.append(row)
     payload = {"schema_version": SCHEMA_VERSION, "input": args.input,
                "seed": args.seed, "rows": rows}
@@ -312,16 +296,6 @@ def cmd_bench(args) -> int:
     if not ok_rows:
         return EXIT_NUMERICAL
     return EXIT_OK if all(r["a"] < 1.0 for r in ok_rows) else EXIT_NOT_CONVERGED
-
-
-def _guard_label(exc: Exception) -> str:
-    if isinstance(exc, WorkspaceGuardError):
-        return "workspace guard"
-    return type(exc).__name__
-
-
-def _guard_failures(report: _driver.SolveReport) -> bool:
-    return bool(report.preconditioner_stats.get("guard_hits"))
 
 
 COMMANDS = {

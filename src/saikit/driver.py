@@ -24,6 +24,9 @@ from .spai import SpaiConfig, spai
 from .sparse_core import CscMatrix, matvec, permute_rows, zero_free_diagonal_permutation
 from .splitting import split
 
+SCHEMA_VERSION = 1
+POSTHOC_ROUNDS = 8  # posthoc re-solve rounds before the solves are kept as they are
+
 
 class SingularUpdateError(ValueError):
     """The s-by-s update system I + V^T (A_tilde^{-1} U) is singular."""
@@ -51,7 +54,6 @@ class DriverConfig:
     spai: SpaiConfig = field(default_factory=SpaiConfig)
     psai: PsaiConfig = field(default_factory=PsaiConfig)
     threads: int = 1
-    posthoc_rounds: int = 8
 
     def __post_init__(self):
         if self.epsilon <= 0.0:
@@ -87,7 +89,7 @@ class SolveReport:
 
     def to_dict(self, include_solution: bool = True) -> dict:
         out = {
-            "schema_version": 1,
+            "schema_version": SCHEMA_VERSION,
             "rr": self.rr,
             "a": self.a,
             "iter_y": self.iter_y,
@@ -247,26 +249,24 @@ def _apply_preprocess(a: CscMatrix, b: np.ndarray,
 
 
 def _finish_report(a0: CscMatrix, b0: np.ndarray, x_hat: np.ndarray,
-                   cfg: DriverConfig, outcome_y: SolveOutcome,
-                   outcomes_w: list[SolveOutcome], stats: dict, cond: float,
-                   s: int, posthoc_c: float | None) -> SolveReport:
+                   cfg: DriverConfig, outcomes: list[SolveOutcome], stats: dict,
+                   cond: float, posthoc_c: float | None) -> SolveReport:
+    """Report of the s + 1 solves, ``outcomes[0]`` the one for b."""
     norm_b = float(np.linalg.norm(b0))
     rr = float(np.linalg.norm(b0 - matvec(a0, x_hat))) / norm_b
-    iters = [outcome_y.iterations] + [o.iterations for o in outcomes_w]
-    all_converged = (outcome_y.flag == "converged"
-                     and all(o.flag == "converged" for o in outcomes_w))
+    outcome_y, outcomes_w = outcomes[0], outcomes[1:]
     return SolveReport(x_hat=x_hat, rr=rr, a=rr / cfg.epsilon,
                        iter_y=outcome_y.iterations,
                        iter_w=[o.iterations for o in outcomes_w],
-                       max_iter_used=max(iters),
+                       max_iter_used=max(o.iterations for o in outcomes),
                        preconditioner_stats=stats,
                        small_system_condition=cond,
-                       converged=all_converged,
+                       converged=all(o.flag == "converged" for o in outcomes),
                        flag_y=outcome_y.flag,
                        flags_w=[o.flag for o in outcomes_w],
                        resid_y=outcome_y.rel_residual,
                        resid_w=[o.rel_residual for o in outcomes_w],
-                       s=s, method=cfg.method, posthoc_c=posthoc_c)
+                       s=len(outcomes_w), method=cfg.method, posthoc_c=posthoc_c)
 
 
 def _zero_rhs_report(a: CscMatrix, cfg: DriverConfig,
@@ -279,32 +279,34 @@ def _zero_rhs_report(a: CscMatrix, cfg: DriverConfig,
                        s=0, method=cfg.method)
 
 
+def _checked_rhs(a: CscMatrix, b: np.ndarray) -> np.ndarray:
+    """``b`` as a float vector, checked against a square ``a``."""
+    if a.n_rows != a.n_cols:
+        raise ValueError("square matrix required")
+    b = np.asarray(b, dtype=np.float64)
+    if b.shape != (a.n_rows,):
+        raise ValueError("right-hand side length mismatch")
+    if not np.all(np.isfinite(b)):
+        raise ValueError("right-hand side must be finite")
+    return b
+
+
 def solve_standard(a: CscMatrix, b: np.ndarray, cfg: DriverConfig | None = None,
                    m: CscMatrix | None = None) -> SolveReport:
     """Precondition A directly and run a single solve at tolerance epsilon.
 
-    ``m``, when given, is a preconditioner already built for ``a`` as
-    stored: the solve uses it as it is, with no permutation and no build,
-    and reports a setup time of 0.
+    This is the s = 0 case of the split solve: A_tilde is A (row-permuted
+    when needed) and U is empty. ``m``, when given, is a preconditioner
+    already built for ``a`` as stored: the solve uses it as it is, with no
+    permutation and no build, and reports a setup time of 0.
     """
     cfg = cfg or DriverConfig()
-    b = np.asarray(b, dtype=np.float64)
-    if not np.all(np.isfinite(b)):
-        raise ValueError("right-hand side must be finite")
+    b = _checked_rhs(a, b)
     if np.linalg.norm(b) == 0.0:
         return _zero_rhs_report(a, cfg, m)
     a_w, b_w = (a, b) if m is not None else _apply_preprocess(a, b, cfg.preprocess)
-    return _standard_on(a, b, a_w, b_w, cfg, m)
-
-
-def _standard_on(a0: CscMatrix, b0: np.ndarray, a_w: CscMatrix, b_w: np.ndarray,
-                 cfg: DriverConfig, m: CscMatrix | None = None) -> SolveReport:
-    if m is None:
-        m, stats = build_preconditioner(a_w, cfg)
-    else:
-        stats = _preconditioner_stats(cfg.method, m, a_w)
-    outcome = _solve_systems(a_w, m, [b_w], [cfg.epsilon], cfg.max_iter)[0]
-    return _finish_report(a0, b0, outcome.x, cfg, outcome, [], stats, 1.0, 0, None)
+    return _solve_split(a, b, a_w, b_w, CscMatrix.empty(a.n_rows, 0),
+                        np.empty(0, dtype=np.int64), cfg, m)
 
 
 def solve_irregular(a: CscMatrix, b: np.ndarray,
@@ -317,85 +319,65 @@ def solve_irregular(a: CscMatrix, b: np.ndarray,
     relative residual recorded.
     """
     cfg = cfg or DriverConfig()
-    if a.n_rows != a.n_cols:
-        raise ValueError("square matrix required")
-    b = np.asarray(b, dtype=np.float64)
-    if b.shape != (a.n_rows,):
-        raise ValueError("right-hand side length mismatch")
-    if not np.all(np.isfinite(b)):
-        raise ValueError("right-hand side must be finite")
+    b = _checked_rhs(a, b)
     if np.linalg.norm(b) == 0.0:
         return _zero_rhs_report(a, cfg)
-
     a_w, b_w = _apply_preprocess(a, b, cfg.preprocess)
     sys = split(a_w, factor=cfg.factor, strategy=cfg.strategy, p_kept=cfg.p_kept)
-    if sys.s == 0:
-        return _standard_on(a, b, a_w, b_w, cfg)
+    return _solve_split(a, b, sys.a_tilde, b_w, sys.u, sys.irregular_cols, cfg)
 
-    m, stats = build_preconditioner(sys.a_tilde, cfg)
 
-    s = sys.s
-    norm_b = float(np.linalg.norm(b_w))
-    u_cols = [sys.u.col(i) for i in range(s)]
-    u_dense = [np.zeros(a.n_rows) for _ in range(s)]
-    for i, (rows, vals) in enumerate(u_cols):
-        u_dense[i][rows] = vals
-    norm_u = np.array([float(np.linalg.norm(col)) for col in u_dense])
+def _solve_split(a0: CscMatrix, b0: np.ndarray, a_tilde: CscMatrix, b_w: np.ndarray,
+                 u: CscMatrix, irregular_cols: np.ndarray, cfg: DriverConfig,
+                 m: CscMatrix | None = None) -> SolveReport:
+    """Solve A_tilde [y, w_1 .. w_s] = [b_w, U] with one M and assemble x.
 
-    c_now = cfg.c_fixed if cfg.c_policy == "fixed" else 1.0
-    tol_y, tol_w = subsystem_tolerances(cfg.epsilon, s, c_now, norm_b, norm_u)
-    outcomes = _solve_systems(sys.a_tilde, m, [b_w] + u_dense,
-                              [tol_y] + list(tol_w), cfg.max_iter)
-    outcome_y, outcomes_w = outcomes[0], outcomes[1:]
+    With s = 0 the single system gets the whole budget epsilon. Otherwise
+    the tolerances split it between the systems, and under the posthoc
+    policy each round re-solves, from its last iterate at half its target,
+    every system whose residual misses the target that the current
+    estimate of c sets.
+    """
+    if m is None:
+        m, stats = build_preconditioner(a_tilde, cfg)
+    else:
+        stats = _preconditioner_stats(cfg.method, m, a_tilde)
+    s = len(irregular_cols)
+    rhs = [b_w] + list(u.to_dense().T.copy())
+    if s == 0:
+        targets = [cfg.epsilon]
+    else:
+        norm_b = float(np.linalg.norm(b_w))
+        norm_u = np.array([float(np.linalg.norm(col)) for col in rhs[1:]])
+        c_now = cfg.c_fixed if cfg.c_policy == "fixed" else 1.0
+        tol_y, tol_w = subsystem_tolerances(cfg.epsilon, s, c_now, norm_b, norm_u)
+        targets = [tol_y] + list(tol_w)
+    outcomes = _solve_systems(a_tilde, m, rhs, targets, cfg.max_iter)
+    w_hat = lambda: np.column_stack([np.empty((len(b_w), 0))] + [o.x for o in outcomes[1:]])
     posthoc_c = None
 
-    if cfg.c_policy == "posthoc":
-        for _ in range(cfg.posthoc_rounds):
-            w_hat = np.column_stack([o.x for o in outcomes_w])
-            c_mat = np.eye(s) + w_hat[sys.irregular_cols, :]
-            try:
-                z = np.linalg.solve(c_mat, outcome_y.x[sys.irregular_cols])
-            except np.linalg.LinAlgError:
-                break
-            posthoc_c = float(np.linalg.norm(z))
-            c_eff = max(posthoc_c, np.finfo(float).tiny)
-            _, tol_w_exact = subsystem_tolerances(cfg.epsilon, s, c_eff,
-                                                  norm_b, norm_u)
-            stale = [j for j, o in enumerate(outcomes_w)
-                     if o.rel_residual >= tol_w_exact[j]]
-            if outcome_y.rel_residual >= tol_y:
-                stale_y = True
-            else:
-                stale_y = False
-            if not stale and not stale_y:
-                break
-            redo_rhs, redo_tol, redo_x0, redo_idx = [], [], [], []
-            if stale_y:
-                redo_rhs.append(b_w)
-                redo_tol.append(tol_y * 0.5)
-                redo_x0.append(outcome_y.x)
-                redo_idx.append(-1)
-            for j in stale:
-                redo_rhs.append(u_dense[j])
-                redo_tol.append(tol_w_exact[j] * 0.5)
-                redo_x0.append(outcomes_w[j].x)
-                redo_idx.append(j)
-            redone = _solve_systems(sys.a_tilde, m, redo_rhs, redo_tol,
-                                    cfg.max_iter, x0_list=redo_x0)
-            progressed = False
-            for idx, out in zip(redo_idx, redone):
-                if idx == -1:
-                    if out.rel_residual < outcome_y.rel_residual:
-                        outcome_y = out
-                        progressed = True
-                else:
-                    if out.rel_residual < outcomes_w[idx].rel_residual:
-                        outcomes_w[idx] = out
-                        progressed = True
-            if not progressed:
-                break
+    for _ in range(POSTHOC_ROUNDS if cfg.c_policy == "posthoc" and s else 0):
+        c_mat = np.eye(s) + w_hat()[irregular_cols, :]
+        try:
+            z = np.linalg.solve(c_mat, outcomes[0].x[irregular_cols])
+        except np.linalg.LinAlgError:
+            break
+        posthoc_c = float(np.linalg.norm(z))
+        c_eff = max(posthoc_c, np.finfo(float).tiny)
+        targets = [tol_y] + list(subsystem_tolerances(cfg.epsilon, s, c_eff,
+                                                      norm_b, norm_u)[1])
+        stale = [i for i, o in enumerate(outcomes) if o.rel_residual >= targets[i]]
+        if not stale:
+            break
+        redone = _solve_systems(a_tilde, m, [rhs[i] for i in stale],
+                                [0.5 * targets[i] for i in stale], cfg.max_iter,
+                                x0_list=[outcomes[i].x for i in stale])
+        improved = [(i, o) for i, o in zip(stale, redone)
+                    if o.rel_residual < outcomes[i].rel_residual]
+        if not improved:
+            break
+        for i, o in improved:
+            outcomes[i] = o
 
-    w_hat = np.column_stack([o.x for o in outcomes_w])
-    x_hat, cond = assemble_solution(outcome_y.x, w_hat, sys.irregular_cols)
-    return _finish_report(a, b, x_hat, cfg, outcome_y, outcomes_w, stats,
-                          cond, s, posthoc_c)
+    x_hat, cond = assemble_solution(outcomes[0].x, w_hat(), irregular_cols)
+    return _finish_report(a0, b0, x_hat, cfg, outcomes, stats, cond, posthoc_c)

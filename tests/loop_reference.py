@@ -15,6 +15,14 @@ kernel ``ls_init``, and SPAI its ``spai_candidates`` and
 one. The one change to the SPAI loop: it writes the residual into its
 dense vector from ``ws.residual()``, as the workspace no longer has
 ``scatter_residual``.
+
+The driver's two solve paths are kept too: ``solve_standard`` with its own
+single solve (``_standard_on``), and ``solve_irregular`` with its posthoc
+rounds, which held the ``y`` system apart from the ``w_j`` systems and
+rebuilt the re-solve list with a ``-1`` marker for ``y``. They call the
+driver's ``build_preconditioner``, ``_solve_systems``,
+``assemble_solution`` and ``_finish_report``, which now takes the ``s + 1``
+outcomes as one list.
 """
 
 from __future__ import annotations
@@ -24,6 +32,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from saikit import driver
+from saikit.driver import DriverConfig, SolveReport
+from saikit.krylov import SolveOutcome
 from saikit.lstsq import DegeneratePatternError, WorkspaceGuardError, _sorted_unique, ls_init
 from saikit.psai import PsaiColumnResult, PsaiConfig, PsaiReport, psai_tol
 from saikit.sparse_core import (CscMatrix, MatrixMarketError, PathOrStream, SparseVector,
@@ -456,3 +467,121 @@ def spai(a: CscMatrix, cfg: SpaiConfig | None = None,
                         n_c=int(np.sum(residuals > cfg.delta)),
                         columns=results, max_candidates=max_cand, errors=errors)
     return m, report
+
+
+POSTHOC_ROUNDS = 8
+
+
+def _finish_report(a0, b0, x_hat, cfg, outcome_y: SolveOutcome,
+                   outcomes_w: list[SolveOutcome], stats, cond, s, posthoc_c):
+    return driver._finish_report(a0, b0, x_hat, cfg, [outcome_y] + outcomes_w, stats,
+                                 cond, posthoc_c)
+
+
+def solve_standard(a: CscMatrix, b: np.ndarray, cfg: DriverConfig | None = None,
+                   m: CscMatrix | None = None) -> SolveReport:
+    cfg = cfg or DriverConfig()
+    b = np.asarray(b, dtype=np.float64)
+    if not np.all(np.isfinite(b)):
+        raise ValueError("right-hand side must be finite")
+    if np.linalg.norm(b) == 0.0:
+        return driver._zero_rhs_report(a, cfg, m)
+    a_w, b_w = (a, b) if m is not None else driver._apply_preprocess(a, b, cfg.preprocess)
+    return _standard_on(a, b, a_w, b_w, cfg, m)
+
+
+def _standard_on(a0: CscMatrix, b0: np.ndarray, a_w: CscMatrix, b_w: np.ndarray,
+                 cfg: DriverConfig, m: CscMatrix | None = None) -> SolveReport:
+    if m is None:
+        m, stats = driver.build_preconditioner(a_w, cfg)
+    else:
+        stats = driver._preconditioner_stats(cfg.method, m, a_w)
+    outcome = driver._solve_systems(a_w, m, [b_w], [cfg.epsilon], cfg.max_iter)[0]
+    return _finish_report(a0, b0, outcome.x, cfg, outcome, [], stats, 1.0, 0, None)
+
+
+def solve_irregular(a: CscMatrix, b: np.ndarray,
+                    cfg: DriverConfig | None = None) -> SolveReport:
+    cfg = cfg or DriverConfig()
+    if a.n_rows != a.n_cols:
+        raise ValueError("square matrix required")
+    b = np.asarray(b, dtype=np.float64)
+    if b.shape != (a.n_rows,):
+        raise ValueError("right-hand side length mismatch")
+    if not np.all(np.isfinite(b)):
+        raise ValueError("right-hand side must be finite")
+    if np.linalg.norm(b) == 0.0:
+        return driver._zero_rhs_report(a, cfg)
+
+    a_w, b_w = driver._apply_preprocess(a, b, cfg.preprocess)
+    sys = driver.split(a_w, factor=cfg.factor, strategy=cfg.strategy, p_kept=cfg.p_kept)
+    if sys.s == 0:
+        return _standard_on(a, b, a_w, b_w, cfg)
+
+    m, stats = driver.build_preconditioner(sys.a_tilde, cfg)
+
+    s = sys.s
+    norm_b = float(np.linalg.norm(b_w))
+    u_cols = [sys.u.col(i) for i in range(s)]
+    u_dense = [np.zeros(a.n_rows) for _ in range(s)]
+    for i, (rows, vals) in enumerate(u_cols):
+        u_dense[i][rows] = vals
+    norm_u = np.array([float(np.linalg.norm(col)) for col in u_dense])
+
+    c_now = cfg.c_fixed if cfg.c_policy == "fixed" else 1.0
+    tol_y, tol_w = driver.subsystem_tolerances(cfg.epsilon, s, c_now, norm_b, norm_u)
+    outcomes = driver._solve_systems(sys.a_tilde, m, [b_w] + u_dense,
+                                     [tol_y] + list(tol_w), cfg.max_iter)
+    outcome_y, outcomes_w = outcomes[0], outcomes[1:]
+    posthoc_c = None
+
+    if cfg.c_policy == "posthoc":
+        for _ in range(POSTHOC_ROUNDS):
+            w_hat = np.column_stack([o.x for o in outcomes_w])
+            c_mat = np.eye(s) + w_hat[sys.irregular_cols, :]
+            try:
+                z = np.linalg.solve(c_mat, outcome_y.x[sys.irregular_cols])
+            except np.linalg.LinAlgError:
+                break
+            posthoc_c = float(np.linalg.norm(z))
+            c_eff = max(posthoc_c, np.finfo(float).tiny)
+            _, tol_w_exact = driver.subsystem_tolerances(cfg.epsilon, s, c_eff,
+                                                         norm_b, norm_u)
+            stale = [j for j, o in enumerate(outcomes_w)
+                     if o.rel_residual >= tol_w_exact[j]]
+            if outcome_y.rel_residual >= tol_y:
+                stale_y = True
+            else:
+                stale_y = False
+            if not stale and not stale_y:
+                break
+            redo_rhs, redo_tol, redo_x0, redo_idx = [], [], [], []
+            if stale_y:
+                redo_rhs.append(b_w)
+                redo_tol.append(tol_y * 0.5)
+                redo_x0.append(outcome_y.x)
+                redo_idx.append(-1)
+            for j in stale:
+                redo_rhs.append(u_dense[j])
+                redo_tol.append(tol_w_exact[j] * 0.5)
+                redo_x0.append(outcomes_w[j].x)
+                redo_idx.append(j)
+            redone = driver._solve_systems(sys.a_tilde, m, redo_rhs, redo_tol,
+                                           cfg.max_iter, x0_list=redo_x0)
+            progressed = False
+            for idx, out in zip(redo_idx, redone):
+                if idx == -1:
+                    if out.rel_residual < outcome_y.rel_residual:
+                        outcome_y = out
+                        progressed = True
+                else:
+                    if out.rel_residual < outcomes_w[idx].rel_residual:
+                        outcomes_w[idx] = out
+                        progressed = True
+            if not progressed:
+                break
+
+    w_hat = np.column_stack([o.x for o in outcomes_w])
+    x_hat, cond = driver.assemble_solution(outcome_y.x, w_hat, sys.irregular_cols)
+    return _finish_report(a, b, x_hat, cfg, outcome_y, outcomes_w, stats,
+                          cond, s, posthoc_c)

@@ -223,6 +223,21 @@ class TestSolveIrregular:
         zero = solve_standard(a, np.zeros(40), cfg, m=m)
         assert zero.rr == 0.0 and zero.preconditioner_stats["nnz_m"] == m.nnz
 
+    @pytest.mark.parametrize("solve", [solve_irregular, solve_standard])
+    @pytest.mark.parametrize("length", [29, 31])
+    def test_rhs_length_checked_before_any_work(self, solve, length, monkeypatch):
+        # rows reversed: the diagonal is zero and the solve would permute b
+        a = permute_rows(generate_test_matrix("dominant-row", 30, seed=4),
+                         np.arange(30)[::-1])
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("b must be checked before any build or permutation")
+
+        for name in ("spai", "psai", "zero_free_diagonal_permutation"):
+            monkeypatch.setattr(driver, name, forbidden)
+        with pytest.raises(ValueError, match="right-hand side length mismatch"):
+            solve(a, np.ones(length))
+
     def test_supplied_preconditioner_solves_a_as_stored(self):
         # rows reversed: the diagonal is zero and the standard path permutes
         a = permute_rows(generate_test_matrix("dominant-row", 30, seed=4),

@@ -3,8 +3,9 @@
 ``loop_reference`` keeps the per-candidate ``spai_profitability``, the
 ``bincount`` products, the per-column diagonal scans, the per-line Matrix
 Market reader, the per-column ``split``, the DFS connectivity check and
-the per-column SPAI build. ``matvec``, ``matvec_t``, the diagonal, the
-reader, ``split`` and the connectivity check must match them exactly.
+the per-column SPAI build, and the driver's two solve paths.
+``matvec``, ``matvec_t``, the diagonal, the reader, ``split``, the
+connectivity check and the one split solve path must match them exactly.
 Profitability sums its dot products in another order, so rho may differ at
 rounding level, but the candidates and the SPAI preconditioner built from
 them must not.
@@ -19,9 +20,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csc_matrix
 
-from saikit import (CscMatrix, DegeneratePatternError, MatrixMarketError, SparseVector,
+from saikit import (CscMatrix, DegeneratePatternError, DriverConfig, MatrixMarketError, SparseVector,
                     SpaiConfig, generate_test_matrix, ls_init, matvec, matvec_t,
-                    permute_rows, read_matrix_market, spai, spai_profitability, split)
+                    permute_rows, read_matrix_market, solve_irregular, solve_standard, spai,
+                    spai_profitability, split)
+from saikit import driver
 from saikit.splitting import _strongly_connected
 
 from . import loop_reference
@@ -329,3 +332,55 @@ def test_split_matches_per_column_loop(seed, kind, strategy, p_kept):
     assert got.irregular_cols.dtype == want.irregular_cols.dtype
     assert np.array_equal(got.irregular_cols, want.irregular_cols)
     assert (got.strategy, got.p_kept) == (want.strategy, want.p_kept)
+
+
+def _same(u, v) -> bool:
+    """Equal values, NaN equal to NaN."""
+    return np.array_equal(np.asarray(u, dtype=float), np.asarray(v, dtype=float),
+                          equal_nan=True)
+
+
+@settings(max_examples=120, deadline=None)
+@given(seeds, st.sampled_from(["spai", "psai"]), st.sampled_from(["fixed", "posthoc"]),
+       st.sampled_from(["irregular", "standard", "supplied"]), st.booleans())
+def test_split_solve_matches_loop_driver(seed, method, c_policy, path, shuffle):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(8, 41))
+    planted = int(rng.integers(0, 4))
+    a = generate_test_matrix("dominant-row", n, planted_dense_cols=planted, seed=seed)
+    if shuffle:                  # zero diagonal: the row permutation runs
+        a = permute_rows(a, rng.permutation(n))
+    b = matvec(a, rng.uniform(0.5, 1.5, n))
+    # few iterations leave systems stale, so posthoc rounds re-solve them
+    cfg = DriverConfig(method=method, c_policy=c_policy,
+                       c_fixed=float(rng.choice([0.1, 1.0, 10.0])),
+                       epsilon=float(rng.choice([1e-6, 1e-10])),
+                       max_iter=int(rng.choice([2, 6, 500])),
+                       factor=float(rng.choice([10.0, dense_split_factor(a)],
+                                               p=[0.25, 0.75])))
+    m = driver.build_preconditioner(a, cfg)[0] if path == "supplied" else None
+
+    def run(solve, standard):
+        try:
+            return solve(a, b, cfg, m) if standard else solve(a, b, cfg)
+        except ValueError as exc:
+            return type(exc), str(exc)
+
+    if path == "irregular":
+        got, want = run(solve_irregular, False), run(loop_reference.solve_irregular, False)
+    else:
+        got, want = run(solve_standard, True), run(loop_reference.solve_standard, True)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert np.array_equal(got.x_hat, want.x_hat)
+    for key in ("iter_y", "iter_w", "max_iter_used", "flag_y", "flags_w", "converged",
+                "s", "method"):
+        assert getattr(got, key) == getattr(want, key), key
+    for key in ("rr", "resid_y", "resid_w", "small_system_condition"):
+        assert _same(getattr(got, key), getattr(want, key)), key
+    assert (got.posthoc_c is None) == (want.posthoc_c is None)
+    if want.posthoc_c is not None:
+        assert _same(got.posthoc_c, want.posthoc_c)
+    strip = lambda stats: {k: v for k, v in stats.items() if k != "t_setup"}
+    assert strip(got.preconditioner_stats) == strip(want.preconditioner_stats)
