@@ -13,9 +13,11 @@ from .driver import (AssemblyError, DriverConfig, SingularUpdateError, SolveRepo
                      solve_standard, subsystem_tolerances)
 from .krylov import SolveOutcome, bicgstab
 from .lstsq import DegeneratePatternError, LsWorkspace, WorkspaceGuardError, ls_init
-from .psai import PsaiColumnResult, PsaiConfig, PsaiReport, bpsai_column, psai, psai_column, psai_tol
-from .spai import (ColumnResult, SpaiConfig, SpaiReport, spai, spai_candidates,
-                   spai_column, spai_profitability)
+# The build functions spai and psai are not re-exported: saikit.spai and
+# saikit.psai name their modules.
+from .psai import PsaiColumnResult, PsaiConfig, PsaiReport, bpsai_column, psai_column, psai_tol
+from .spai import (ColumnResult, SpaiConfig, SpaiReport, spai_candidates, spai_column,
+                   spai_profitability)
 from .sparse_core import (ColumnStats, CscMatrix, MatrixMarketError, SparseVector,
                           StructurallySingularError, UnsupportedFieldError,
                           column_stats, matvec, matvec_t, norm1, norm_inf,

@@ -38,17 +38,14 @@ EXIT_NUMERICAL = 3
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("input", help="Matrix Market file")
     p.add_argument("--output", help="also write the JSON report here")
-    p.add_argument("--seed", type=int, default=0,
-                   help="only echoed into the solve and bench reports; "
-                        "no computation uses it")
-    p.add_argument("--threads", type=int, default=1,
-                   help="preconditioner build only: spai and psai split the columns "
-                        "into that many contiguous chunks, each built in lockstep "
-                        "on its own thread; the solves run serially")
 
 
 def _add_method_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--method", choices=("spai", "psai"), default="psai")
+    p.add_argument("--threads", type=int, default=1,
+                   help="preconditioner build only: spai and psai split the columns "
+                        "into that many contiguous chunks, each built in lockstep "
+                        "on its own thread; the solves run serially")
     p.add_argument("-ep", "--delta", type=float, default=0.4,
                    help="residual tolerance per preconditioner column")
     p.add_argument("-mn", "--mn", type=int, default=5,
@@ -73,7 +70,12 @@ def _add_solve_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-iter", type=int, default=500)
     p.add_argument("--c-policy", default="fixed:1",
                    help="'fixed:<value>' or 'posthoc'")
-    p.add_argument("--permute", choices=("auto", "always", "never"), default="auto")
+    p.add_argument("--permute", choices=("auto", "always", "never"), default="auto",
+                   help="zero-free-diagonal row permutation, applied when it is not "
+                        "the identity; 'always' behaves exactly like 'auto' (open question, "
+                        "ROADMAP item 1)")
+    p.add_argument("--seed", type=int, default=0,
+                   help="only echoed into the report; no computation uses it")
     p.add_argument("--rhs", default="ones",
                    help="'ones' (b = A * all-ones) or a Matrix Market vector file")
     p.add_argument("--precond-file",

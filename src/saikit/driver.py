@@ -47,7 +47,9 @@ class DriverConfig:
     c_fixed: float = 1.0
     method: str = "psai"           # "spai" | "psai"
     max_iter: int = 500
-    preprocess: str = "auto"       # "auto" | "always" | "never"
+    # "auto" | "always" | "never"; "always" acts exactly as "auto" (whether it
+    # should also permute a weak diagonal is open: ROADMAP item 1)
+    preprocess: str = "auto"
     factor: float = 10.0
     strategy: str = "nearest"
     p_kept: int | None = None
@@ -56,16 +58,16 @@ class DriverConfig:
     threads: int = 1
 
     def __post_init__(self):
-        if self.epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
+        if not 0.0 < self.epsilon < np.inf:
+            raise ValueError("epsilon must be finite and positive")
         if self.c_policy not in ("fixed", "posthoc"):
             raise ValueError("c_policy must be 'fixed' or 'posthoc'")
         if self.method not in ("spai", "psai"):
             raise ValueError("method must be 'spai' or 'psai'")
         if self.preprocess not in ("auto", "always", "never"):
             raise ValueError("preprocess must be 'auto', 'always' or 'never'")
-        if self.c_fixed <= 0.0:
-            raise ValueError("c_fixed must be positive")
+        if not 0.0 < self.c_fixed < np.inf:
+            raise ValueError("c_fixed must be finite and positive")
 
 
 @dataclass
@@ -111,9 +113,13 @@ class SolveReport:
         return out
 
 
-def _checked_small_solve(c_mat: np.ndarray, rhs: np.ndarray,
-                         error: str) -> tuple[np.ndarray, float]:
-    """LU solve of the small update system with a pivot-based singularity check."""
+def _checked_small_solve(c_mat: np.ndarray, rhs: np.ndarray, error: str,
+                         failure: Callable[[str, float], ValueError],
+                         ) -> tuple[np.ndarray, float]:
+    """LU solve of the small update system with a pivot-based singularity check.
+
+    A singular system raises ``failure(error, cond)``.
+    """
     cond = float(np.linalg.cond(c_mat)) if c_mat.size else 1.0
     try:
         with warnings.catch_warnings():
@@ -124,9 +130,7 @@ def _checked_small_solve(c_mat: np.ndarray, rhs: np.ndarray,
     pivots = np.abs(np.diag(lu))
     scale = pivots.max() if pivots.size else 0.0
     if scale == 0.0 or pivots.min() <= 1e-14 * scale:
-        if error.startswith("singular update"):
-            raise SingularUpdateError(error)
-        raise AssemblyError(error, cond)
+        raise failure(error, cond)
     return lu_solve((lu, piv), rhs), cond
 
 
@@ -151,7 +155,8 @@ def smw_inverse_apply(a_tilde_solve: Callable[[np.ndarray], np.ndarray],
     w = np.column_stack([a_tilde_solve(u_dense[:, j]) for j in range(s)])
     c_mat = np.eye(s) + w[irregular_cols, :]
     z, _ = _checked_small_solve(c_mat, y[irregular_cols],
-                                "singular update system I + V^T A_tilde^{-1} U")
+                                "singular update system I + V^T A_tilde^{-1} U",
+                                lambda msg, cond: SingularUpdateError(msg))
     return y - w @ z
 
 
@@ -171,7 +176,7 @@ def assemble_solution(y_hat: np.ndarray, w_hat: np.ndarray,
     w_hat = np.asarray(w_hat, dtype=np.float64)
     c_mat = np.eye(s) + w_hat[irregular_cols, :]
     z, cond = _checked_small_solve(c_mat, y_hat[irregular_cols],
-                                   "assembly system I + V^T W_hat is singular")
+                                   "assembly system I + V^T W_hat is singular", AssemblyError)
     return y_hat - w_hat @ z, cond
 
 

@@ -2,12 +2,12 @@
 
 A workspace holds a batch of independent targets: target t minimizes
 ``|| A(:, S_t) m - e_{k_t} ||`` over its column pattern S_t. A single
-target (``ls_init(a, k, s0)``) is the batch of one, fitted by the same
+target (``ls_init(a, k, cols)``) is the batch of one, fitted by the same
 code as any batch; it differs only in raising its failure. The active row
 set L_t holds every nonzero row of A(:, S_t) plus k_t itself, so the
 subproblem residual norm equals the full-length residual norm exactly.
 Every init, augment and drop gathers A(L, S) of the targets it changes in
-one vectorised pass and re-solves them from scratch.
+one vectorised pass and re-solves them from scratch, in place.
 
 A pattern is a pair of flat ``(owner, col)`` arrays, target after target;
 within a target the columns keep their insertion order, and a drop
@@ -39,8 +39,6 @@ the workspace and its exception is kept in ``errors``; the rest go on.
 """
 
 from __future__ import annotations
-
-import copy
 
 import numpy as np
 from scipy.linalg.lapack import dgeqrf, dormqr, dtrtrs
@@ -238,7 +236,7 @@ class LsWorkspace:
         self._refit(a, owner[order], np.concatenate([old_cols, new_cols])[order], touched)
 
     def drop_columns(self, a: CscMatrix, drop, owner=None) -> "LsWorkspace":
-        """Re-solve on S minus ``drop`` (returns a new workspace).
+        """Re-solve in place on S minus ``drop``; returns the workspace.
 
         ``owner`` gives the target of each dropped column; a batch of one
         needs none. Only the targets named in ``drop`` are re-solved, on
@@ -254,16 +252,13 @@ class LsWorkspace:
             if np.count_nonzero(gone) != len(keys):
                 raise ValueError("drop set must be a subset of the pattern")
             remaining = remaining[~gone]
-        out = copy.copy(self)
-        out.errors = dict(self.errors)
-        out.residual_norms = self.residual_norms.copy()
-        rem_owner, rem_cols = out._split(remaining)
+        rem_owner, rem_cols = self._split(remaining)
         emptied = touched.copy()
         emptied[rem_owner] = False
         for t in np.flatnonzero(emptied):
-            out._fail(t, DegeneratePatternError("cannot drop every pattern column"))
-        out._refit(a, rem_owner, rem_cols, touched)
-        return out
+            self._fail(t, DegeneratePatternError("cannot drop every pattern column"))
+        self._refit(a, rem_owner, rem_cols, touched)
+        return self
 
     # -- internals -----------------------------------------------------
 
@@ -311,19 +306,6 @@ class LsWorkspace:
             touched, (self._row_owner, self._rows, self._resid_vec), rows)
         self.residual_norms[fitted] = norms
 
-    def _guard(self, t: int, m: int, p: int) -> bool:
-        """Whether target t trips the workspace guard (recorded as its failure)."""
-        est = 2 * m * max(p, 1) * 8
-        if self.max_workspace_bytes is None or est <= self.max_workspace_bytes:
-            return False
-        self._fail(t, WorkspaceGuardError(est, self.max_workspace_bytes))
-        return True
-
-    def _all_zero(self, t: int) -> bool:
-        """Record target t's all-zero submatrix as its failure; always True."""
-        self._fail(t, DegeneratePatternError("pattern selects an all-zero submatrix"))
-        return True
-
     def _fit(self, a: CscMatrix, owner: np.ndarray, cols: np.ndarray):
         """Gather A(L, S), check the guard and for all-zero patterns, then solve.
 
@@ -342,20 +324,19 @@ class LsWorkspace:
         keys = e_owner * n + rows
         l_keys = _sorted_unique(np.concatenate([keys, k_keys]))
         l_owner = l_keys // n
-        m = np.bincount(l_owner, minlength=n_t)
-        p = np.bincount(owner, minlength=n_t)
-        nonzero = np.zeros(n_t, dtype=bool)
-        nonzero[e_owner[vals != 0.0]] = True
-        bad = ~nonzero[fitted]
-        if self.max_workspace_bytes is not None:
-            bad |= 2 * m[fitted] * np.maximum(p[fitted], 1) * 8 > self.max_workspace_bytes
-        if bad.any():
-            for t in fitted[bad].tolist():
-                if not self._guard(t, int(m[t]), int(p[t])):
-                    self._all_zero(t)
-            keep = np.ones(n_t, dtype=bool)
-            keep[fitted[bad]] = False
-            keep = keep[owner]
+        limit = self.max_workspace_bytes
+        est = 16 * np.bincount(l_owner, minlength=n_t) * np.maximum(
+            np.bincount(owner, minlength=n_t), 1)     # two m-by-p float64 arrays
+        guard = np.zeros(n_t, dtype=bool) if limit is None else est > limit
+        bad = np.ones(n_t, dtype=bool)
+        bad[e_owner[vals != 0.0]] = False             # every value of the pattern is zero
+        bad |= guard
+        failed = fitted[bad[fitted]]
+        if len(failed):
+            for t in failed.tolist():
+                self._fail(t, WorkspaceGuardError(int(est[t]), limit) if guard[t] else
+                           DegeneratePatternError("pattern selects an all-zero submatrix"))
+            keep = ~bad[owner]
             return self._fit(a, owner[keep], cols[keep])
 
         at = np.searchsorted(l_keys, keys)
@@ -392,10 +373,10 @@ class LsWorkspace:
             coeffs[block_cols[c0 + active]] = y
 
 
-def ls_init(a: CscMatrix, k, s0, max_workspace_bytes: int | None = None) -> LsWorkspace:
-    """Factorize and solve the subproblem for target k on the initial pattern.
+def ls_init(a: CscMatrix, k, cols, max_workspace_bytes: int | None = None) -> LsWorkspace:
+    """Factorize and solve the subproblem for target k on the initial pattern ``cols``.
 
-    With an array of targets ``k``, ``s0`` is the pair ``(owner, cols)`` of
+    With an array of targets ``k``, ``cols`` is the pair ``(owner, cols)`` of
     their initial patterns and the workspace holds the whole batch.
     """
-    return LsWorkspace(a, k, s0, max_workspace_bytes=max_workspace_bytes)
+    return LsWorkspace(a, k, cols, max_workspace_bytes=max_workspace_bytes)

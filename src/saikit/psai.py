@@ -24,7 +24,7 @@ from scipy.sparse import csc_matrix as _scipy_csc
 
 from .lstsq import DegeneratePatternError, _member, ls_init
 from .sparse_core import CscMatrix, SparseVector, norm1
-from .spai import _build_columns, _ones_pattern
+from .spai import _build_columns, _error, _ones_pattern
 
 
 @dataclass
@@ -42,8 +42,8 @@ class PsaiConfig:
         if isinstance(self.tol_policy, str):
             if self.tol_policy != "adaptive":
                 raise ValueError("tol_policy must be 'adaptive' or a fixed float")
-        elif self.tol_policy < 0:
-            raise ValueError("fixed drop tolerance must be >= 0")
+        elif not 0.0 <= self.tol_policy < np.inf:
+            raise ValueError("fixed drop tolerance must be finite and >= 0")
 
 
 @dataclass
@@ -93,11 +93,12 @@ def _pattern_step(pattern_b, owner: np.ndarray, cols: np.ndarray,
 
 
 def _lockstep(a: CscMatrix, ks: np.ndarray, cfg: PsaiConfig, a_norm1: float,
-              dropping: bool, pattern_b) -> tuple[list, dict[int, Exception]]:
+              dropping: bool, pattern_b) -> tuple[list[PsaiColumnResult], dict[int, Exception]]:
     """Build the columns ``ks`` together, each loop one batch step for all.
 
-    Returns a result per column (None where it failed) and the exception
-    of each failed column, by position in ``ks``.
+    Returns a result per column and the exception of each failed column,
+    by position in ``ks``; a failed column's result is the zero vector with
+    its error.
     """
     n = a.n_cols
     n_t = len(ks)
@@ -113,7 +114,6 @@ def _lockstep(a: CscMatrix, ks: np.ndarray, cfg: PsaiConfig, a_norm1: float,
     f_owner, f_cols = np.arange(n_t), ks
 
     def apply_dropping(loop: int) -> None:
-        nonlocal ws
         owner, cols, coeffs = ws.pattern()
         nnz = np.bincount(owner[coeffs != 0.0], minlength=n_t)
         tol = np.full(n_t, -1.0)        # below every magnitude: nothing is dropped
@@ -131,7 +131,7 @@ def _lockstep(a: CscMatrix, ks: np.ndarray, cfg: PsaiConfig, a_norm1: float,
         d_owner, d_cols = owner[doomed][order], cols[doomed][order]
         for t, j, mag in zip(d_owner.tolist(), d_cols.tolist(), mags[doomed][order].tolist()):
             drops[t].append((loop, j, mag, tol_history[t][-1]))
-        ws = ws.drop_columns(a, d_cols, d_owner)
+        ws.drop_columns(a, d_cols, d_owner)
         active[list(ws.errors)] = False
 
     if dropping:
@@ -152,11 +152,13 @@ def _lockstep(a: CscMatrix, ks: np.ndarray, cfg: PsaiConfig, a_norm1: float,
             apply_dropping(loop)
 
     norms = ws.residual_norms.tolist()
-    results = [None if t in ws.errors else PsaiColumnResult(
-        m_k=m_k, residual_norm=norms[t], loops_used=int(loops_used[t]),
-        dropped_count=len(drops[t]), converged=norms[t] <= cfg.delta,
-        drops=drops[t], tol_history=tol_history[t])
-        for t, m_k in enumerate(ws.solutions())]
+    results = [PsaiColumnResult(m_k=m_k, residual_norm=1.0, loops_used=0, dropped_count=0,
+                                converged=False, error=_error(ws.errors[t]))
+               if t in ws.errors else
+               PsaiColumnResult(m_k=m_k, residual_norm=norms[t], loops_used=int(loops_used[t]),
+                                dropped_count=len(drops[t]), converged=norms[t] <= cfg.delta,
+                                drops=drops[t], tol_history=tol_history[t])
+               for t, m_k in enumerate(ws.solutions())]
     return results, ws.errors
 
 
@@ -194,11 +196,8 @@ def psai(a: CscMatrix, cfg: PsaiConfig | None = None, threads: int = 1,
         raise ValueError("square matrix required")
     a1 = norm1(a)
     pattern_b = _ones_pattern(a)
-    empty = SparseVector(a.n_cols, np.empty(0, dtype=np.int64), np.empty(0))
     results, m, residuals, errors = _build_columns(
-        a, threads, lambda ks: _lockstep(a, ks, cfg, a1, dropping, pattern_b),
-        lambda error: PsaiColumnResult(m_k=empty, residual_norm=1.0, loops_used=0,
-                                       dropped_count=0, converged=False, error=error))
+        a, threads, lambda ks: _lockstep(a, ks, cfg, a1, dropping, pattern_b))
     report = PsaiReport(residuals=residuals,
                         l_m=max((r.loops_used for r in results), default=0),
                         columns=results, errors=errors)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse import csc_matrix as _scipy_csc
 
-from .lstsq import DegeneratePatternError, _member, ls_init
+from .lstsq import _member, ls_init
 from .sparse_core import CscMatrix, SparseVector
 
 # Columns per lockstep batch at most: a batch holds the subproblems of all
@@ -135,27 +135,25 @@ def spai_profitability(a: CscMatrix, r, cand, col_sqnorms: np.ndarray | None = N
     return scored, rho, cand[~live]
 
 
-def _lockstep(a: CscMatrix, ks: np.ndarray, cfg: SpaiConfig,
-              s0=None) -> tuple[list, dict[int, Exception]]:
+def _error(exc: Exception) -> str:
+    """A failed column's ``error`` field."""
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _lockstep(a: CscMatrix, ks: np.ndarray,
+              cfg: SpaiConfig) -> tuple[list[ColumnResult], dict[int, Exception]]:
     """Grow the columns ``ks`` together, each loop one batch step for all.
 
-    ``s0`` replaces the initial pattern {k} of a batch of one. Returns a
-    result per column (None where it failed) and the exception of each
-    failed column, by position in ``ks``.
+    Column k starts at {k}, or with no column when column k of A is empty
+    (no start can fit it). Returns a result per column and the exception of
+    each failed column, by position in ``ks``; a failed column's result is
+    the zero vector with its error.
     """
-    n, n_t, guard = a.n_cols, len(ks), cfg.max_workspace_bytes
+    n, n_t = a.n_cols, len(ks)
     pattern_t = _ones_pattern(a).T
     col_sqnorms = np.bincount(a.entry_cols(), weights=a.values ** 2, minlength=n)
-    owner, cols = ((np.arange(n_t), ks) if s0 is None else
-                   (np.zeros(len(s0), dtype=np.int64), np.asarray(s0, dtype=np.int64)))
-    ws = ls_init(a, ks, (owner, cols), max_workspace_bytes=guard)
-    retry = np.array([t for t, exc in ws.errors.items()
-                      if isinstance(exc, DegeneratePatternError)], dtype=np.int64)
-    if len(retry):      # a degenerate initial pattern falls back to column k's rows
-        rows, _, pos = a.columns(ks[retry])
-        keep = ~np.isin(owner, retry)
-        owner, cols = np.append(owner[keep], retry[pos]), np.append(cols[keep], rows)
-        ws = ls_init(a, ks, (owner, cols), max_workspace_bytes=guard)
+    start = np.flatnonzero(a.per_col_nnz[ks])
+    ws = ls_init(a, ks, (start, ks[start]), max_workspace_bytes=cfg.max_workspace_bytes)
 
     profiles = [ColumnProfile() for _ in range(n_t)]
     loops_used = np.zeros(n_t, dtype=np.int64)
@@ -201,23 +199,25 @@ def _lockstep(a: CscMatrix, ks: np.ndarray, cfg: SpaiConfig,
         live[list(ws.errors)] = False
 
     norms = ws.residual_norms.tolist()
-    results = [None if t in ws.errors else ColumnResult(
-        m_k=m_k, residual_norm=norms[t], loops_used=int(loops_used[t]),
-        converged=norms[t] <= cfg.delta, profile=profiles[t])
-        for t, m_k in enumerate(ws.solutions())]
+    results = [ColumnResult(m_k=m_k, residual_norm=1.0, loops_used=0, converged=False,
+                            profile=ColumnProfile(), error=_error(ws.errors[t]))
+               if t in ws.errors else
+               ColumnResult(m_k=m_k, residual_norm=norms[t], loops_used=int(loops_used[t]),
+                            converged=norms[t] <= cfg.delta, profile=profiles[t])
+               for t, m_k in enumerate(ws.solutions())]
     return results, ws.errors
 
 
-def spai_column(a: CscMatrix, k: int, cfg: SpaiConfig, s0=None) -> ColumnResult:
+def spai_column(a: CscMatrix, k: int, cfg: SpaiConfig) -> ColumnResult:
     """Grow the pattern of column k until the residual meets ``delta``; the batch of one.
 
-    A degenerate initial pattern (``s0``, by default {k}) falls back to the
-    row pattern of column k of A; if that is degenerate too, or the
-    workspace guard trips, the error is raised.
+    An empty column k, or a workspace guard trip, raises its error.
     """
     if a.n_rows != a.n_cols:
         raise ValueError("square matrix required")
-    results, errors = _lockstep(a, np.array([k], dtype=np.int64), cfg, s0=s0)
+    if not 0 <= k < a.n_cols:
+        raise ValueError("target index k out of range")
+    results, errors = _lockstep(a, np.array([k], dtype=np.int64), cfg)
     if errors:
         raise errors[0]
     return results[0]
@@ -234,24 +234,17 @@ def _assemble_columns(n: int, columns: list[SparseVector]) -> CscMatrix:
     return CscMatrix(n, len(columns), col_ptr, row_idx, values)
 
 
-def _build_columns(a: CscMatrix, threads: int, lockstep, failed):
+def _build_columns(a: CscMatrix, threads: int, lockstep):
     """Results, M, residual norms and ``(column, error)`` list, built in lockstep chunks.
 
-    ``lockstep(ks)`` builds columns ``ks`` as one batch: a result each (None
-    where it failed) and the exceptions by position; ``failed(error)`` makes
-    a failed column's result. ``threads`` threads build ``threads`` contiguous
-    chunks, or more so that none exceeds ``_BATCH_COLUMNS`` columns.
+    ``lockstep(ks)`` builds columns ``ks`` as one batch and returns their
+    results first. ``threads`` threads build ``threads`` contiguous chunks,
+    or more so that none exceeds ``_BATCH_COLUMNS`` columns.
     """
     n_chunks = max(threads, -(-a.n_cols // _BATCH_COLUMNS))
     chunks = np.array_split(np.arange(a.n_cols, dtype=np.int64),
                             max(1, min(n_chunks, a.n_cols)))
-
-    def run(ks: np.ndarray) -> list:
-        results, errors = lockstep(ks)
-        for t, exc in errors.items():
-            results[t] = failed(f"{type(exc).__name__}: {exc}")
-        return results
-
+    run = lambda ks: lockstep(ks)[0]
     if threads <= 1:
         parts = [run(ks) for ks in chunks]
     else:
@@ -275,11 +268,7 @@ def spai(a: CscMatrix, cfg: SpaiConfig | None = None,
     cfg = cfg or SpaiConfig()
     if a.n_rows != a.n_cols and a.n_cols:
         raise ValueError("square matrix required")
-    empty = SparseVector(a.n_cols, np.empty(0, dtype=np.int64), np.empty(0))
-    results, m, residuals, errors = _build_columns(
-        a, threads, lambda ks: _lockstep(a, ks, cfg),
-        lambda error: ColumnResult(m_k=empty, residual_norm=1.0, loops_used=0,
-                                   converged=False, profile=ColumnProfile(), error=error))
+    results, m, residuals, errors = _build_columns(a, threads, lambda ks: _lockstep(a, ks, cfg))
     max_cand = max((max(r.profile.candidates_per_loop, default=0) for r in results),
                    default=0)
     report = SpaiReport(residuals=residuals, n_c=int(np.sum(residuals > cfg.delta)),

@@ -9,8 +9,9 @@ import pytest
 from saikit import (DriverConfig, PsaiConfig, SpaiConfig,
                     assemble_solution, bpsai_column, classify, column_stats,
                     dense_lu_min_pivot, generate_test_matrix, matvec, psai_column,
-                    read_matrix_market, smw_inverse_apply, solve_irregular, spai,
+                    read_matrix_market, smw_inverse_apply, solve_irregular,
                     spai_column, split, subsystem_tolerances)
+from saikit.spai import spai
 from .conftest import (dense_split_factor, require_uf, tridiagonal,
                        with_dense_column)
 

@@ -69,6 +69,13 @@ class TestAnalyze:
     def test_bad_flag_exit_code(self):
         assert main(["analyze"]) == 2
 
+    @pytest.mark.parametrize("argv", [["analyze", "--threads", "2"], ["analyze", "--seed", "1"],
+                                      ["split", "--threads", "2"], ["split", "--seed", "1"],
+                                      ["precond", "--seed", "1"]])
+    def test_flag_the_command_does_not_use_rejected(self, capsys, identity_mtx, argv):
+        assert main([argv[0], identity_mtx] + argv[1:]) == 2
+        capsys.readouterr()
+
 
 class TestSplitCommand:
     def test_regular_matrix_sidecar(self, capsys, tmp_path):
@@ -186,6 +193,12 @@ class TestPrecondSolve:
                                        "--max-iter", "1"])
         assert rc == 1
         assert report["a"] >= 1.0
+
+    @pytest.mark.parametrize("flags", [["--eps", "inf"], ["--eps", "nan"],
+                                       ["--c-policy", "fixed:inf"], ["--tol", "fixed:nan"]])
+    def test_non_finite_setting_exit_two(self, capsys, irregular_mtx, flags):
+        assert main(["solve", irregular_mtx[0]] + flags) == 2
+        assert capsys.readouterr().out == ""
 
     def test_structural_singularity_exit_three(self, tmp_path, capsys):
         a = CscMatrix.from_dense([[1.0, 1.0], [0.0, 0.0]])

@@ -13,6 +13,14 @@ def dense_solver(dense: np.ndarray):
     return lambda v: np.linalg.solve(dense, v)
 
 
+class TestDriverConfig:
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    @pytest.mark.parametrize("name", ["epsilon", "c_fixed"])
+    def test_non_finite_setting_rejected(self, name, value):
+        with pytest.raises(ValueError):
+            DriverConfig(**{name: value})
+
+
 class TestSmwInverseApply:
     def test_no_update(self):
         dense = np.diag([2.0, 4.0])

@@ -3,7 +3,8 @@ import warnings
 import numpy as np
 import pytest
 
-from saikit import CscMatrix, PsaiConfig, bicgstab, generate_test_matrix, matvec, psai
+from saikit import CscMatrix, PsaiConfig, bicgstab, generate_test_matrix, matvec
+from saikit.psai import psai
 from .conftest import tridiagonal
 
 

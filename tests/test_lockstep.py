@@ -17,7 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from saikit import (CscMatrix, PsaiConfig, SpaiConfig, generate_test_matrix, ls_init,
-                    permute_rows, psai, psai_column, spai, spai_column)
+                    permute_rows, psai_column, spai_column)
+from saikit.psai import psai
+from saikit.spai import spai
 
 from . import gs_reference, loop_reference
 from .test_lstsq_reference import EXCEPTIONS, column_value_difference, ls_programs

@@ -22,8 +22,9 @@ from scipy.sparse import csc_matrix
 
 from saikit import (CscMatrix, DegeneratePatternError, DriverConfig, MatrixMarketError, SparseVector,
                     SpaiConfig, generate_test_matrix, ls_init, matvec, matvec_t,
-                    permute_rows, read_matrix_market, solve_irregular, solve_standard, spai,
+                    permute_rows, read_matrix_market, solve_irregular, solve_standard,
                     spai_profitability, split)
+from saikit.spai import spai
 from saikit import driver
 from saikit.splitting import _strongly_connected
 

@@ -17,8 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from saikit import (CscMatrix, DegeneratePatternError, PsaiConfig, SpaiConfig,
-                    WorkspaceGuardError, generate_test_matrix, permute_rows, psai,
-                    spai, zero_free_diagonal_permutation)
+                    WorkspaceGuardError, generate_test_matrix, permute_rows,
+                    zero_free_diagonal_permutation)
+from saikit.psai import psai
+from saikit.spai import spai
 from saikit import lstsq
 
 from . import gs_reference, loop_reference

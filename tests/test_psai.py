@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from saikit import (CscMatrix, PsaiConfig, bpsai_column, norm1, psai,
-                    psai_column, psai_tol)
+from saikit import CscMatrix, PsaiConfig, bpsai_column, norm1, psai_column, psai_tol
+from saikit.psai import psai
 from .conftest import random_dominant, tridiagonal
 
 
@@ -30,6 +30,13 @@ class TestTol:
             psai_tol(0.4, 0, 1.0)
         with pytest.raises(ValueError):
             psai_tol(0.4, 1, 0.0)
+
+
+class TestConfig:
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite_fixed_tolerance_rejected(self, value):
+        with pytest.raises(ValueError):
+            PsaiConfig(tol_policy=value)
 
 
 class TestColumn:

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.sparse import csc_matrix
 
-from saikit import CscMatrix, SpaiConfig, spai, spai_candidates, spai_column, spai_profitability
+from saikit import CscMatrix, SpaiConfig, spai_candidates, spai_column, spai_profitability
+from saikit.spai import spai
 from .conftest import random_dominant, tridiagonal, with_dense_column
 
 
@@ -197,14 +198,10 @@ class TestColumn:
         with pytest.raises(DegeneratePatternError):
             spai_column(a, 3, SpaiConfig())
 
-    def test_caller_pattern_fallback_to_column_pattern(self):
-        # supplied pattern hits a zero column; fallback must use col k's rows
-        dense = np.array([[2.0, 0.0, 1.0],
-                          [0.0, 0.0, 0.0],
-                          [1.0, 0.0, 3.0]])
-        a = CscMatrix.from_dense(dense)
-        res = spai_column(a, 0, SpaiConfig(delta=0.4), s0=[1])
-        assert res.m_k.nnz >= 1
+    @pytest.mark.parametrize("k", [-1, 4])
+    def test_target_out_of_range_rejected(self, k):
+        with pytest.raises(ValueError):
+            spai_column(CscMatrix.identity(4), k, SpaiConfig())
 
 
 class TestAssembly:
@@ -241,6 +238,17 @@ class TestAssembly:
         m1, _ = spai(a, SpaiConfig(), threads=1)
         m2, _ = spai(a, SpaiConfig(), threads=3)
         assert m1.same_as(m2)
+
+
+def test_spai_and_psai_name_their_modules():
+    import types
+
+    import saikit
+    import saikit.spai as m
+    assert isinstance(saikit.spai, types.ModuleType)
+    assert isinstance(saikit.psai, types.ModuleType)
+    assert callable(m.spai) and callable(saikit.psai.psai)
+    assert m._assemble_columns is not None
 
 
 class TestIrregularityCounters:
