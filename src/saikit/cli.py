@@ -10,7 +10,6 @@ numerical failures.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 import time
@@ -40,8 +39,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", help="also write the JSON report here")
 
 
-def _add_method_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--method", choices=("spai", "psai"), default="psai")
+def _add_build_flags(p: argparse.ArgumentParser, with_method: bool = True) -> None:
+    if with_method:
+        p.add_argument("--method", choices=("spai", "psai"), default="psai")
     p.add_argument("--threads", type=int, default=1,
                    help="preconditioner build only: spai and psai split the columns "
                         "into that many contiguous chunks, each built in lockstep "
@@ -78,9 +78,6 @@ def _add_solve_flags(p: argparse.ArgumentParser) -> None:
                    help="only echoed into the report; no computation uses it")
     p.add_argument("--rhs", default="ones",
                    help="'ones' (b = A * all-ones) or a Matrix Market vector file")
-    p.add_argument("--precond-file",
-                   help="reuse a previously written M: solve A as stored, "
-                        "with no permutation and no split")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -100,18 +97,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("precond", help="build a preconditioner, write it out")
     _add_common(p)
-    _add_method_flags(p)
+    _add_build_flags(p)
     p.add_argument("--matrix-out", default="precond_m.mtx")
 
     p = sub.add_parser("solve", help="solve A x = b through the splitting")
     _add_common(p)
-    _add_method_flags(p)
+    _add_build_flags(p)
     _add_split_flags(p)
     _add_solve_flags(p)
+    p.add_argument("--precond-file",
+                   help="reuse a previously written M: solve A as stored, "
+                        "with no permutation and no split")
 
     p = sub.add_parser("bench", help="compare standard and split variants")
     _add_common(p)
-    _add_method_flags(p)
+    _add_build_flags(p, with_method=False)  # --variants picks the methods
     _add_split_flags(p)
     _add_solve_flags(p)
     p.add_argument("--variants", default="S-SPAI,N-SPAI,S-PSAI,N-PSAI",
@@ -127,41 +127,38 @@ def _emit(payload: dict, args) -> None:
             fh.write(text + "\n")
 
 
-def _parse_c_policy(raw: str) -> tuple[str, float]:
-    if raw == "posthoc":
-        return "posthoc", 1.0
-    if raw.startswith("fixed:"):
-        return "fixed", float(raw.split(":", 1)[1])
-    raise ValueError(f"bad --c-policy value {raw!r}")
-
-
-def _parse_tol_policy(raw: str):
-    if raw == "adaptive":
-        return "adaptive"
+def _fixed_or(raw: str, other: str, flag: str) -> str | float:
+    """``other`` as given, or the value of ``fixed:<value>`` as a float."""
+    if raw == other:
+        return other
     if raw.startswith("fixed:"):
         return float(raw.split(":", 1)[1])
-    raise ValueError(f"bad --tol value {raw!r}")
+    raise ValueError(f"bad {flag} value {raw!r}")
 
 
-def _configs_from_args(args) -> tuple[SpaiConfig, PsaiConfig]:
-    spai_lmax = args.lmax if args.lmax is not None else 20
-    psai_lmax = args.lmax if args.lmax is not None else 10
-    sc = SpaiConfig(delta=args.delta, l_max=spai_lmax, mn=args.mn,
-                    max_workspace_bytes=args.mem_guard)
-    pc = PsaiConfig(delta=args.delta, l_max=psai_lmax,
-                    tol_policy=_parse_tol_policy(args.tol),
-                    max_workspace_bytes=args.mem_guard)
-    return sc, pc
+def _method_fields(args, method: str) -> dict:
+    """The DriverConfig fields of one method: its build config and the threads.
+
+    Only ``method``'s settings are read and checked. ``l_max`` is passed
+    only when ``--lmax`` is given, so each config keeps its own default.
+    """
+    build = {"delta": args.delta, "max_workspace_bytes": args.mem_guard}
+    if args.lmax is not None:
+        build["l_max"] = args.lmax
+    if method == "spai":
+        config = SpaiConfig(mn=args.mn, **build)
+    else:
+        config = PsaiConfig(tol_policy=_fixed_or(args.tol, "adaptive", "--tol"), **build)
+    return {"method": method, method: config, "threads": args.threads}
 
 
-def _driver_config(args) -> _driver.DriverConfig:
-    sc, pc = _configs_from_args(args)
-    policy, c_fixed = _parse_c_policy(args.c_policy)
-    return _driver.DriverConfig(epsilon=args.eps, c_policy=policy, c_fixed=c_fixed,
-                                method=args.method, max_iter=args.max_iter,
+def _driver_config(args, method: str) -> _driver.DriverConfig:
+    c = _fixed_or(args.c_policy, "posthoc", "--c-policy")
+    policy = {"c_policy": "posthoc"} if c == "posthoc" else {"c_policy": "fixed", "c_fixed": c}
+    return _driver.DriverConfig(epsilon=args.eps, max_iter=args.max_iter,
                                 preprocess=args.permute, factor=args.factor,
                                 strategy=args.strategy, p_kept=args.p_kept,
-                                spai=sc, psai=pc, threads=args.threads)
+                                **policy, **_method_fields(args, method))
 
 
 def _load_rhs(a: CscMatrix, spec: str) -> np.ndarray:
@@ -229,8 +226,7 @@ def cmd_split(args) -> int:
 
 def cmd_precond(args) -> int:
     a = read_matrix_market(args.input)
-    sc, pc = _configs_from_args(args)
-    cfg = _driver.DriverConfig(method=args.method, spai=sc, psai=pc, threads=args.threads)
+    cfg = _driver.DriverConfig(**_method_fields(args, args.method))
     m, stats = _driver.build_preconditioner(a, cfg)
     write_matrix_market(m, args.matrix_out)
     payload = {
@@ -247,7 +243,7 @@ def cmd_precond(args) -> int:
 def cmd_solve(args) -> int:
     a = read_matrix_market(args.input)
     b = _load_rhs(a, args.rhs)
-    cfg = _driver_config(args)
+    cfg = _driver_config(args, args.method)
     if args.precond_file:
         m = read_matrix_market(args.precond_file)
         report = _driver.solve_standard(a, b, cfg, m=m)
@@ -270,19 +266,21 @@ def cmd_bench(args) -> int:
     b = _load_rhs(a, args.rhs)
     wanted = [v.strip().upper() for v in args.variants.split(",") if v.strip()]
     bad = [v for v in wanted if v not in _VARIANTS]
-    if bad:
-        raise ValueError(f"unknown variants: {bad}")
-    base = _driver_config(args)
+    if bad or not wanted:
+        raise ValueError(f"--variants must name some of {','.join(_VARIANTS)}, "
+                         f"got {args.variants!r}")
+    method = {v: v[2:].lower() for v in wanted}  # "N-PSAI" -> "psai"
+    # every config is checked before the first solve
+    cfgs = {m: _driver_config(args, m) for m in dict.fromkeys(method.values())}
     rows = []
     for variant in wanted:
-        method = "spai" if "SPAI" in variant else "psai"
-        cfg = dataclasses.replace(base, method=method)
+        cfg = cfgs[method[variant]]
         solve = _driver.solve_standard if variant.startswith("S-") else _driver.solve_irregular
         t0 = time.perf_counter()
         report = solve(a, b, cfg)
         elapsed = time.perf_counter() - t0
         stats = report.preconditioner_stats
-        quality = "n_c" if method == "spai" else "l_m"
+        quality = "n_c" if cfg.method == "spai" else "l_m"
         row = {"variant": variant, "status": "ok", "spar": stats["spar"],
                quality: stats[quality]}
         if stats["guard_hits"]:

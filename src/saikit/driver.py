@@ -6,13 +6,17 @@ right-preconditioned BiCGStab solves with per-system tolerances that
 budget the overall relative residual, and recovery of x through the
 low-rank update formula. The report always carries the relative residual
 recomputed against the original A and b, never the solver's own estimate.
+
+The s-by-s update system I + V^T W is solved in :func:`assemble_solution`,
+which :func:`smw_inverse_apply` runs on exact solves. Only the posthoc
+estimate of c solves it on its own, and stops there when it is singular.
 """
 
 from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -68,6 +72,8 @@ class DriverConfig:
             raise ValueError("preprocess must be 'auto', 'always' or 'never'")
         if not 0.0 < self.c_fixed < np.inf:
             raise ValueError("c_fixed must be finite and positive")
+        if self.max_iter < 1 or self.threads < 1:
+            raise ValueError("max_iter and threads must be >= 1")
 
 
 @dataclass
@@ -90,48 +96,11 @@ class SolveReport:
     posthoc_c: float | None = None
 
     def to_dict(self, include_solution: bool = True) -> dict:
-        out = {
-            "schema_version": SCHEMA_VERSION,
-            "rr": self.rr,
-            "a": self.a,
-            "iter_y": self.iter_y,
-            "iter_w": list(self.iter_w),
-            "max_iter_used": self.max_iter_used,
-            "preconditioner_stats": self.preconditioner_stats,
-            "small_system_condition": self.small_system_condition,
-            "converged": self.converged,
-            "flag_y": self.flag_y,
-            "flags_w": list(self.flags_w),
-            "resid_y": self.resid_y,
-            "resid_w": list(self.resid_w),
-            "s": self.s,
-            "method": self.method,
-            "posthoc_c": self.posthoc_c,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "x_hat"}
+        out["schema_version"] = SCHEMA_VERSION
         if include_solution:
             out["x_hat"] = [float(v) for v in self.x_hat]
         return out
-
-
-def _checked_small_solve(c_mat: np.ndarray, rhs: np.ndarray, error: str,
-                         failure: Callable[[str, float], ValueError],
-                         ) -> tuple[np.ndarray, float]:
-    """LU solve of the small update system with a pivot-based singularity check.
-
-    A singular system raises ``failure(error, cond)``.
-    """
-    cond = float(np.linalg.cond(c_mat)) if c_mat.size else 1.0
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # the pivot check below reports it
-            lu, piv = lu_factor(c_mat)
-    except ValueError as exc:
-        raise AssemblyError(f"{error}: {exc}", cond) from exc
-    pivots = np.abs(np.diag(lu))
-    scale = pivots.max() if pivots.size else 0.0
-    if scale == 0.0 or pivots.min() <= 1e-14 * scale:
-        raise failure(error, cond)
-    return lu_solve((lu, piv), rhs), cond
 
 
 def smw_inverse_apply(a_tilde_solve: Callable[[np.ndarray], np.ndarray],
@@ -141,23 +110,22 @@ def smw_inverse_apply(a_tilde_solve: Callable[[np.ndarray], np.ndarray],
     """x = A^{-1} b through exact solves with the sparsified matrix.
 
     ``a_tilde_solve`` must apply A_tilde^{-1}. Used as the ground-truth
-    recovery path; raises :class:`SingularUpdateError` when the update
-    system is singular, which happens exactly when A itself is singular
-    given a nonsingular A_tilde.
+    recovery path: :func:`assemble_solution` of the exact solves. Raises
+    :class:`SingularUpdateError`, chained to the :class:`AssemblyError`,
+    when the update system is singular (exactly when A itself is singular
+    given a nonsingular A_tilde) or not finite.
     """
     b = np.asarray(b, dtype=np.float64)
-    irregular_cols = np.asarray(irregular_cols, dtype=np.int64)
     s = len(irregular_cols)
     y = a_tilde_solve(b)
     if s == 0:
         return y
     u_dense = u.to_dense() if isinstance(u, CscMatrix) else np.asarray(u, dtype=np.float64)
     w = np.column_stack([a_tilde_solve(u_dense[:, j]) for j in range(s)])
-    c_mat = np.eye(s) + w[irregular_cols, :]
-    z, _ = _checked_small_solve(c_mat, y[irregular_cols],
-                                "singular update system I + V^T A_tilde^{-1} U",
-                                lambda msg, cond: SingularUpdateError(msg))
-    return y - w @ z
+    try:
+        return assemble_solution(y, w, irregular_cols)[0]
+    except AssemblyError as exc:
+        raise SingularUpdateError(f"update system I + V^T A_tilde^{{-1}} U: {exc}") from exc
 
 
 def assemble_solution(y_hat: np.ndarray, w_hat: np.ndarray,
@@ -166,7 +134,9 @@ def assemble_solution(y_hat: np.ndarray, w_hat: np.ndarray,
 
     V^T picks the irregular-column rows, so no general product is formed.
     Returns the assembled solution and the condition estimate of the small
-    system.
+    system. A non-finite system raises :class:`AssemblyError` with
+    ``cond = inf``; so does a singular one, with its condition estimate,
+    when an LU pivot is at most 1e-14 times the largest.
     """
     y_hat = np.asarray(y_hat, dtype=np.float64)
     irregular_cols = np.asarray(irregular_cols, dtype=np.int64)
@@ -175,9 +145,16 @@ def assemble_solution(y_hat: np.ndarray, w_hat: np.ndarray,
         return y_hat.copy(), 1.0
     w_hat = np.asarray(w_hat, dtype=np.float64)
     c_mat = np.eye(s) + w_hat[irregular_cols, :]
-    z, cond = _checked_small_solve(c_mat, y_hat[irregular_cols],
-                                   "assembly system I + V^T W_hat is singular", AssemblyError)
-    return y_hat - w_hat @ z, cond
+    if not np.isfinite(c_mat).all():
+        raise AssemblyError("assembly system I + V^T W_hat is not finite", np.inf)
+    cond = float(np.linalg.cond(c_mat))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the pivot check below reports it
+        lu, piv = lu_factor(c_mat)
+    pivots = np.abs(np.diag(lu))
+    if pivots.min() <= 1e-14 * pivots.max():
+        raise AssemblyError("assembly system I + V^T W_hat is singular", cond)
+    return y_hat - w_hat @ lu_solve((lu, piv), y_hat[irregular_cols]), cond
 
 
 def subsystem_tolerances(epsilon: float, s: int, c: float, norm_b: float,

@@ -1,7 +1,8 @@
 """Compressed sparse column matrices, Matrix Market I/O, and basic kernels.
 
 Matrices are stored in CSC form with 0-based indices in memory. Matrix
-Market files use 1-based indices on disk, coordinate format, real field.
+Market files use 1-based indices on disk, coordinate format, real field
+(integer is read too).
 All matrices are normalized on construction: duplicate entries summed,
 explicitly stored zeros purged, row indices sorted within each column.
 Instances are treated as immutable and are safe to share across workers.
@@ -389,12 +390,13 @@ def _open_text(source: PathOrStream, mode: str):
 
 
 def read_matrix_market(source: PathOrStream) -> CscMatrix:
-    """Parse a coordinate-format, real Matrix Market stream or file.
+    """Parse a coordinate-format, real or integer Matrix Market stream or file.
 
     Symmetric files must declare a square size and are expanded to general
-    storage. Duplicate entries are summed. Integer, complex and pattern
-    fields are rejected. Every error in the entries, a non-finite value
-    included, raises :class:`MatrixMarketError`. Entry lines are parsed by
+    storage. Duplicate entries are summed. Complex and pattern fields are
+    rejected. Every error in the entries, a non-finite value and a
+    non-integral value in an integer field included, raises
+    :class:`MatrixMarketError`. Entry lines are parsed by
     ``np.loadtxt``: it accepts a trailing ``%`` comment on an entry line,
     and rejects the Python-only number spellings (``1_000``, non-ASCII
     digits) and an index written as a float (``2.0``). While it parses,
@@ -414,8 +416,8 @@ def read_matrix_market(source: PathOrStream) -> CscMatrix:
             raise MatrixMarketError(f"unsupported object {obj!r}")
         if fmt != "coordinate":
             raise MatrixMarketError(f"unsupported format {fmt!r} (coordinate only)")
-        if fld != "real":
-            raise UnsupportedFieldError(f"unsupported field {fld!r} (real only)")
+        if fld not in ("real", "integer"):
+            raise UnsupportedFieldError(f"unsupported field {fld!r} (real or integer only)")
         if sym not in ("general", "symmetric"):
             raise UnsupportedFieldError(f"unsupported symmetry {sym!r}")
 
@@ -460,6 +462,8 @@ def read_matrix_market(source: PathOrStream) -> CscMatrix:
                                     f"declared {n_rows}x{n_cols} bounds")
         if not np.isfinite(vals).all():
             raise MatrixMarketError("entry values must be finite")
+        if fld == "integer" and not np.array_equal(vals, np.trunc(vals)):
+            raise MatrixMarketError("entry values of an integer field must be integral")
 
         if sym == "symmetric":
             off = rows != cols

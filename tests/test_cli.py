@@ -71,7 +71,8 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("argv", [["analyze", "--threads", "2"], ["analyze", "--seed", "1"],
                                       ["split", "--threads", "2"], ["split", "--seed", "1"],
-                                      ["precond", "--seed", "1"]])
+                                      ["precond", "--seed", "1"], ["bench", "--method", "psai"],
+                                      ["bench", "--precond-file", "m.mtx"]])
     def test_flag_the_command_does_not_use_rejected(self, capsys, identity_mtx, argv):
         assert main([argv[0], identity_mtx] + argv[1:]) == 2
         capsys.readouterr()
@@ -200,6 +201,24 @@ class TestPrecondSolve:
         assert main(["solve", irregular_mtx[0]] + flags) == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("flags", [["--threads", "0"], ["--threads", "-3"],
+                                       ["--max-iter", "0"]])
+    def test_count_below_one_exit_two(self, capsys, irregular_mtx, flags):
+        assert main(["solve", irregular_mtx[0]] + flags) == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("command", ["solve", "precond"])
+    def test_settings_are_read_for_the_method_that_runs(self, capsys, tmp_path,
+                                                        irregular_mtx, command):
+        # delta 0.6 is valid for SPAI, (0, 1), and not for PSAI, (0, 0.5)
+        argv = [command, irregular_mtx[0], "--delta", "0.6"]
+        if command == "precond":
+            argv += ["--matrix-out", str(tmp_path / "m.mtx")]
+        rc, report = run_json(capsys, argv + ["--method", "spai"])
+        assert rc == 0 and report["method"] == "spai"
+        assert main(argv + ["--method", "psai"]) == 2
+        assert capsys.readouterr().out == ""
+
     def test_structural_singularity_exit_three(self, tmp_path, capsys):
         a = CscMatrix.from_dense([[1.0, 1.0], [0.0, 0.0]])
         path = write_mtx(tmp_path / "sing.mtx", a)
@@ -242,3 +261,15 @@ class TestBench:
 
     def test_unknown_variant_rejected(self, capsys, identity_mtx):
         assert main(["bench", identity_mtx, "--variants", "X-FOO"]) == 2
+
+    @pytest.mark.parametrize("variants", [",", "", " , "])
+    def test_empty_variants_rejected(self, capsys, identity_mtx, variants):
+        assert main(["bench", identity_mtx, "--variants", variants]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_every_config_checked_before_the_first_row(self, capsys, identity_mtx):
+        argv = ["bench", identity_mtx, "--delta", "0.6"]
+        rc, payload = run_json(capsys, argv + ["--variants", "S-SPAI,N-SPAI"])
+        assert rc == 0 and len(payload["rows"]) == 2
+        assert main(argv + ["--variants", "S-SPAI,N-PSAI"]) == 2
+        assert capsys.readouterr().out == ""

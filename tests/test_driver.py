@@ -20,6 +20,12 @@ class TestDriverConfig:
         with pytest.raises(ValueError):
             DriverConfig(**{name: value})
 
+    @pytest.mark.parametrize("value", [0, -3])
+    @pytest.mark.parametrize("name", ["threads", "max_iter"])
+    def test_count_below_one_rejected(self, name, value):
+        with pytest.raises(ValueError, match=">= 1"):
+            DriverConfig(**{name: value})
+
 
 class TestSmwInverseApply:
     def test_no_update(self):
@@ -59,8 +65,16 @@ class TestSmwInverseApply:
         w = rng.standard_normal((n, 2))
         w[irregular, :] = c_sing - np.eye(2)
         u = a_tilde @ w
-        with pytest.raises(SingularUpdateError):
+        with pytest.raises(SingularUpdateError) as exc_info:
             smw_inverse_apply(dense_solver(a_tilde), u, irregular, rng.random(n))
+        assert isinstance(exc_info.value.__cause__, AssemblyError)
+
+    def test_non_finite_solves(self):
+        nan_solver = lambda v: np.full(len(v), np.nan)
+        with pytest.raises(SingularUpdateError) as exc_info:
+            smw_inverse_apply(nan_solver, np.eye(3)[:, [1]], [1], np.ones(3))
+        assert isinstance(exc_info.value.__cause__, AssemblyError)
+        assert exc_info.value.__cause__.cond == np.inf
 
 
 class TestAssembleSolution:
@@ -97,6 +111,14 @@ class TestAssembleSolution:
         with pytest.raises(AssemblyError) as exc_info:
             assemble_solution(y, w, [1])
         assert exc_info.value.cond > 1e14 or np.isinf(exc_info.value.cond)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_small_system(self, value):
+        w = np.zeros((3, 2))
+        w[2, 1] = value
+        with pytest.raises(AssemblyError) as exc_info:
+            assemble_solution(np.ones(3), w, [0, 2])
+        assert exc_info.value.cond == np.inf
 
 
 class TestSubsystemTolerances:
@@ -328,6 +350,13 @@ class TestSolveIrregular:
         assert "x_hat" in payload and len(payload["x_hat"]) == 4
         slim = rep.to_dict(include_solution=False)
         assert "x_hat" not in slim
+
+    def test_report_keys_are_the_fields(self):
+        payload = solve_irregular(CscMatrix.identity(4), np.ones(4)).to_dict()
+        assert set(payload) == {
+            "rr", "a", "iter_y", "iter_w", "max_iter_used", "preconditioner_stats",
+            "small_system_condition", "converged", "flag_y", "flags_w", "resid_y",
+            "resid_w", "s", "method", "posthoc_c", "schema_version", "x_hat"}
 
     def test_column_dominant_instance(self):
         a = generate_test_matrix("dominant-col", 50, planted_dense_cols=2, seed=29)

@@ -11,6 +11,7 @@ from saikit import (CscMatrix, MatrixMarketError, SparseVector,
                     column_stats, matvec, matvec_t, norm1, norm_inf,
                     permute_rows, read_matrix_market, transpose,
                     write_matrix_market, zero_free_diagonal_permutation)
+from . import loop_reference
 from .conftest import tridiagonal, require_uf
 
 
@@ -71,11 +72,29 @@ class TestRead:
         with pytest.raises(MatrixMarketError):
             read_matrix_market(mm("%%NotMatrixMarket nope\n1 1 0\n"))
 
-    @pytest.mark.parametrize("field", ["complex", "integer", "pattern"])
+    @pytest.mark.parametrize("field", ["complex", "pattern"])
     def test_unsupported_fields(self, field):
         text = f"%%MatrixMarket matrix coordinate {field} general\n1 1 1\n1 1 1\n"
         with pytest.raises(UnsupportedFieldError):
             read_matrix_market(mm(text))
+
+    @pytest.mark.parametrize("sym", ["general", "symmetric"])
+    def test_integer_field_reads_as_real(self, sym):
+        body = "3 3 6\n1 1 4\n2 1 -1\n3 1 0\n2 2 7 % note\n3 3 -12\n3 3 2\n"
+        real = f"%%MatrixMarket matrix coordinate real {sym}\n" + body
+        a = read_matrix_market(mm(real.replace("real", "integer")))
+        assert a.same_as(read_matrix_market(mm(real)))
+        # the per-line oracle reads the real field only, and no trailing comment
+        plain = real.replace(" % note", "")
+        assert a.same_as(loop_reference.read_matrix_market(mm(plain)))
+        assert a.to_dense()[2, 2] == -10.0 and a.nnz == (5 if sym == "symmetric" else 4)
+
+    @pytest.mark.parametrize("value", ["1.5", "-0.25", "1e-3"])
+    def test_integer_field_non_integral_value(self, value):
+        text = f"%%MatrixMarket matrix coordinate integer general\n2 2 2\n1 1 1\n2 2 {value}\n"
+        with pytest.raises(MatrixMarketError, match="integral") as exc_info:
+            read_matrix_market(mm(text))
+        assert not isinstance(exc_info.value, UnsupportedFieldError)
 
     def test_entry_count_mismatch(self):
         text = "%%MatrixMarket matrix coordinate real general\n2 2 3\n1 1 1.0\n"
