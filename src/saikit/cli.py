@@ -71,9 +71,9 @@ def _add_solve_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--c-policy", default="fixed:1",
                    help="'fixed:<value>' or 'posthoc'")
     p.add_argument("--permute", choices=("auto", "always", "never"), default="auto",
-                   help="zero-free-diagonal row permutation, applied when it is not "
-                        "the identity; 'always' behaves exactly like 'auto' (open question, "
-                        "ROADMAP item 1)")
+                   help="maximum-product row matching for a zero-free diagonal: 'auto' "
+                        "runs it only when the diagonal has a zero, 'always' on every "
+                        "input, 'never' not at all")
     p.add_argument("--seed", type=int, default=0,
                    help="only echoed into the report; no computation uses it")
     p.add_argument("--rhs", default="ones",

@@ -1,11 +1,12 @@
 """End-to-end solve of A x = b through the regular/irregular splitting.
 
-Pipeline: optional zero-free-diagonal row permutation, split into
-A_tilde + U V^T, one sparse approximate inverse M of A_tilde, s + 1
-right-preconditioned BiCGStab solves with per-system tolerances that
-budget the overall relative residual, and recovery of x through the
-low-rank update formula. The report always carries the relative residual
-recomputed against the original A and b, never the solver's own estimate.
+Pipeline: optional row permutation to a zero-free, maximum-product
+diagonal, split into A_tilde + U V^T, one sparse approximate inverse M of
+A_tilde, s + 1 right-preconditioned BiCGStab solves with per-system
+tolerances that budget the overall relative residual, and recovery of x
+through the low-rank update formula. The report always carries the
+relative residual recomputed against the original A and b, never the
+solver's own estimate.
 
 The s-by-s update system I + V^T W is solved in :func:`assemble_solution`,
 which :func:`smw_inverse_apply` runs on exact solves. Only the posthoc
@@ -51,8 +52,8 @@ class DriverConfig:
     c_fixed: float = 1.0
     method: str = "psai"           # "spai" | "psai"
     max_iter: int = 500
-    # "auto" | "always" | "never"; "always" acts exactly as "auto" (whether it
-    # should also permute a weak diagonal is open: ROADMAP item 1)
+    # "auto" | "always" | "never": the maximum-product row matching, run by
+    # "auto" only when the diagonal has a zero and by "always" on every input
     preprocess: str = "auto"
     factor: float = 10.0
     strategy: str = "nearest"
@@ -224,7 +225,7 @@ def _apply_preprocess(a: CscMatrix, b: np.ndarray,
                       mode: str) -> tuple[CscMatrix, np.ndarray]:
     if mode == "never":
         return a, b
-    perm = zero_free_diagonal_permutation(a)
+    perm = zero_free_diagonal_permutation(a, always=(mode == "always"))
     if np.array_equal(perm, np.arange(a.n_rows)):
         return a, b
     return permute_rows(a, perm), b[perm]

@@ -18,7 +18,8 @@ from typing import IO, Union
 
 import numpy as np
 from scipy.sparse import csc_matrix as _scipy_csc
-from scipy.sparse.csgraph import maximum_bipartite_matching as _max_matching
+from scipy.sparse import csr_matrix as _scipy_csr
+from scipy.sparse.csgraph import min_weight_full_bipartite_matching as _min_weight_matching
 
 
 class MatrixMarketError(ValueError):
@@ -348,25 +349,36 @@ def norm_inf(a: CscMatrix) -> float:
     return float(sums.max())
 
 
-def zero_free_diagonal_permutation(a: CscMatrix) -> np.ndarray:
-    """Row permutation ``perm`` making every diagonal of A[perm, :] structural.
+def zero_free_diagonal_permutation(a: CscMatrix, always: bool = False) -> np.ndarray:
+    """Row permutation ``perm`` maximising the product of |diag| of A[perm, :].
 
-    Returns the identity when the diagonal is already zero-free. Raises
+    A maximum-product matching (MC64 style: Olschowka & Neumaier, 1996;
+    Duff & Koster, 2001): column ``j`` is matched to a row ``i`` so that the
+    sum of the weights ``log max_i |a_ij| - log |a_ij| + 1`` over the stored
+    entries is least. The ``+ 1`` keeps every weight positive, so no edge
+    reads as missing. Returns the identity, with no weights built, when the
+    diagonal is already zero-free, unless ``always`` is set. Raises
     :class:`StructurallySingularError` when the pattern has no perfect
     matching between columns and rows.
     """
     if a.n_rows != a.n_cols:
         raise ValueError("square matrix required")
     n = a.n_rows
-    if n == 0 or a.has_full_structural_diagonal():
+    if n == 0 or (not always and a.has_full_structural_diagonal()):
         return np.arange(n, dtype=np.int64)
-    graph = _scipy_csc((np.ones(a.nnz), a.row_idx.copy(), a.col_ptr.copy()),
-                       shape=(n, n)).tocsr()
-    match = _max_matching(graph, perm_type="row")
-    if np.any(match < 0):
+    cols = a.entry_cols()
+    log_abs = np.log(np.abs(a.values))
+    col_max = np.full(n, -np.inf)
+    np.maximum.at(col_max, cols, log_abs)
+    weights = col_max[cols] - log_abs + 1.0
+    # the CSC arrays read as CSR are A^T: graph row j is column j of A
+    graph = _scipy_csr((weights, a.row_idx, a.col_ptr), shape=(n, n))
+    try:
+        _, match = _min_weight_matching(graph)
+    except ValueError as exc:
         raise StructurallySingularError(
-            "no perfect matching: the matrix is structurally singular")
-    # match[j] is the row holding a nonzero in column j
+            "no perfect matching: the matrix is structurally singular") from exc
+    # match[j] is the row matched to column j
     return np.asarray(match, dtype=np.int64)
 
 

@@ -3,13 +3,14 @@
 They are kept as they were, less the argument checks and with the matrix
 passed in, as test oracles for ``spai.spai_profitability``,
 ``sparse_core.matvec`` / ``matvec_t`` and ``CscMatrix.diagonal`` /
-``has_full_structural_diagonal``. The per-line Matrix Market reader, the
-per-column ``split`` and the two-pass DFS behind
-``splitting._strongly_connected`` are kept verbatim, their imports aside,
-and so are the per-column PSAI build (``psai_column`` and ``psai``) and
-the per-column SPAI build (``spai_candidates``, ``_select_profitable``,
-``spai_column`` and ``spai``) that the lockstep builds replaced, with the
-worker pool they ran on (``_map_columns``). They find their least-squares
+``has_full_structural_diagonal``. The structural row matching that the
+maximum-product one replaced (``zero_free_diagonal_permutation``), the
+per-line Matrix Market reader, the per-column ``split`` and the two-pass
+DFS behind ``splitting._strongly_connected`` are kept verbatim, their
+imports aside, and so are the per-column PSAI build (``psai_column`` and
+``psai``) and the per-column SPAI build (``spai_candidates``,
+``_select_profitable``, ``spai_column`` and ``spai``) that the lockstep
+builds replaced, with the worker pool they ran on (``_map_columns``). They find their least-squares
 kernel ``ls_init``, and SPAI its ``spai_candidates`` and
 ``spai_profitability``, as module globals, so a test may swap in another
 one. The one change to the SPAI loop: it writes the residual into its
@@ -31,6 +32,8 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
+from scipy.sparse import csc_matrix as _scipy_csc
+from scipy.sparse.csgraph import maximum_bipartite_matching as _max_matching
 
 from saikit import driver
 from saikit.driver import DriverConfig, SolveReport
@@ -38,8 +41,8 @@ from saikit.krylov import SolveOutcome
 from saikit.lstsq import DegeneratePatternError, WorkspaceGuardError, _sorted_unique, ls_init
 from saikit.psai import PsaiColumnResult, PsaiConfig, PsaiReport, psai_tol
 from saikit.sparse_core import (CscMatrix, MatrixMarketError, PathOrStream, SparseVector,
-                                UnsupportedFieldError, _open_text, column_stats, norm1,
-                                transpose)
+                                StructurallySingularError, UnsupportedFieldError, _open_text,
+                                column_stats, norm1, transpose)
 from saikit.spai import (ColumnProfile, ColumnResult, SpaiConfig, SpaiReport,
                          _assemble_columns)
 from saikit.splitting import SplitSystem, _keep_indices
@@ -101,6 +104,28 @@ def has_full_structural_diagonal(a: CscMatrix) -> bool:
         if pos >= len(rows) or rows[pos] != j:
             return False
     return True
+
+
+def zero_free_diagonal_permutation(a: CscMatrix) -> np.ndarray:
+    """Row permutation ``perm`` making every diagonal of A[perm, :] structural.
+
+    Returns the identity when the diagonal is already zero-free. Raises
+    :class:`StructurallySingularError` when the pattern has no perfect
+    matching between columns and rows.
+    """
+    if a.n_rows != a.n_cols:
+        raise ValueError("square matrix required")
+    n = a.n_rows
+    if n == 0 or a.has_full_structural_diagonal():
+        return np.arange(n, dtype=np.int64)
+    graph = _scipy_csc((np.ones(a.nnz), a.row_idx.copy(), a.col_ptr.copy()),
+                       shape=(n, n)).tocsr()
+    match = _max_matching(graph, perm_type="row")
+    if np.any(match < 0):
+        raise StructurallySingularError(
+            "no perfect matching: the matrix is structurally singular")
+    # match[j] is the row holding a nonzero in column j
+    return np.asarray(match, dtype=np.int64)
 
 
 def read_matrix_market(source: PathOrStream) -> CscMatrix:

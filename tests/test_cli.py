@@ -222,8 +222,9 @@ class TestPrecondSolve:
     def test_structural_singularity_exit_three(self, tmp_path, capsys):
         a = CscMatrix.from_dense([[1.0, 1.0], [0.0, 0.0]])
         path = write_mtx(tmp_path / "sing.mtx", a)
-        assert main(["solve", path]) == 3
-        capsys.readouterr()
+        for permute in ("auto", "always"):
+            assert main(["solve", path, "--permute", permute]) == 3
+            assert "structurally singular" in capsys.readouterr().err
 
 
 class TestBench:

@@ -5,7 +5,7 @@ from saikit import (AssemblyError, CscMatrix, DriverConfig, SingularUpdateError,
                     assemble_solution, bicgstab, generate_test_matrix, matvec, permute_rows,
                     smw_inverse_apply, solve_irregular, solve_standard, split,
                     subsystem_tolerances)
-from saikit import driver
+from saikit import driver, sparse_core
 from .conftest import dense_split_factor, tridiagonal, with_dense_column
 
 
@@ -330,6 +330,38 @@ class TestSolveIrregular:
         rep = solve_irregular(scrambled, b, cfg)
         assert rep.a < 1.0
         assert np.allclose(rep.x_hat, np.ones(30), atol=1e-6)
+
+    def test_shuffled_rows_keep_m_sparse(self):
+        # the structural matching left a weak diagonal here: nnz(M) was 18.5 nnz(A)
+        n = 800
+        a = generate_test_matrix("dominant-row", n, planted_dense_cols=3, seed=0)
+        a = permute_rows(a, np.random.default_rng(0).permutation(n))
+        rep = solve_irregular(a, matvec(a, np.ones(n)))
+        assert rep.a < 1.0
+        assert rep.preconditioner_stats["nnz_m"] <= 2 * a.nnz
+
+    def test_zero_free_diagonal_skips_the_matching(self, monkeypatch):
+        a = generate_test_matrix("dominant-row", 60, planted_dense_cols=2, seed=5)
+        b = matvec(a, np.ones(60))
+        reps = {mode: solve_irregular(a, b, DriverConfig(preprocess=mode))
+                for mode in ("never", "always")}
+
+        def matching(*args, **kwargs):
+            raise AssertionError("a zero-free diagonal must not be matched under 'auto'")
+        monkeypatch.setattr(sparse_core, "_min_weight_matching", matching)
+        auto = solve_irregular(a, b, DriverConfig(preprocess="auto"))
+        for rep in reps.values():
+            assert np.array_equal(auto.x_hat, rep.x_hat)
+            assert auto.preconditioner_stats["nnz_m"] == rep.preconditioner_stats["nnz_m"]
+
+    def test_always_permutes_a_weak_diagonal(self):
+        a = CscMatrix.from_dense([[1e-3, 1.0], [1.0, 1e-3]])
+        b = np.array([1.0, 2.0])
+        a_w, b_w = driver._apply_preprocess(a, b, "auto")
+        assert a_w is a and b_w is b
+        a_w, b_w = driver._apply_preprocess(a, b, "always")
+        assert np.array_equal(a_w.to_dense(), [[1.0, 1e-3], [1e-3, 1.0]])
+        assert np.array_equal(b_w, [2.0, 1.0])
 
     def test_subsystem_counter_comparison(self):
         n = 60

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from saikit import (CscMatrix, MatrixMarketError, SparseVector,
@@ -347,19 +347,51 @@ class TestZeroFreeDiagonal:
         with pytest.raises(StructurallySingularError):
             zero_free_diagonal_permutation(a)
 
+    def test_weak_diagonal_swapped_only_when_always(self):
+        a = CscMatrix.from_dense([[1e-3, 1.0], [1.0, 1e-3]])
+        assert np.array_equal(zero_free_diagonal_permutation(a), [0, 1])
+        assert np.array_equal(zero_free_diagonal_permutation(a, always=True), [1, 0])
+
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2 ** 31 - 1))
     def test_permuted_diagonal_is_zero_free(self, seed):
         rng = np.random.default_rng(seed)
-        n = int(rng.integers(2, 10))
-        perm = rng.permutation(n)
-        dense = np.zeros((n, n))
-        dense[perm, np.arange(n)] = 1.0  # a perfect matching exists by planting
-        extra = rng.random((n, n)) < 0.2
-        dense[extra] = rng.uniform(0.5, 1.0, size=int(extra.sum()))
-        a = CscMatrix.from_dense(dense)
+        a = CscMatrix.from_dense(random_pattern(rng, int(rng.integers(2, 10))))
         p = zero_free_diagonal_permutation(a)
         assert permute_rows(a, p).has_full_structural_diagonal()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 9), st.booleans(), st.integers(0, 2 ** 31 - 1))
+    @example(0, False, 0)
+    @example(1, False, 0)          # the 1 x 1 zero: no matching
+    @example(1, True, 0)
+    def test_maximum_product_against_structural_oracle(self, n, plant, seed):
+        a = CscMatrix.from_dense(random_pattern(np.random.default_rng(seed), n, plant))
+        try:
+            oracle = loop_reference.zero_free_diagonal_permutation(a)
+        except StructurallySingularError:
+            for always in (False, True):
+                with pytest.raises(StructurallySingularError):
+                    zero_free_diagonal_permutation(a, always=always)
+            return
+        log_product = lambda p: float(np.log(np.abs(permute_rows(a, p).diagonal())).sum())
+        floor = log_product(oracle)
+        for always in (False, True):
+            p = zero_free_diagonal_permutation(a, always=always)
+            assert np.array_equal(np.sort(p), np.arange(n))
+            assert permute_rows(a, p).has_full_structural_diagonal()
+            assert log_product(p) >= floor - 1e-12 * max(1.0, abs(floor))
+
+
+def random_pattern(rng, n: int, plant: bool = True) -> np.ndarray:
+    """Dense n x n array with about 20% of its entries stored, at magnitudes
+    spread over twelve decades; ``plant`` plants a perfect matching."""
+    dense = np.zeros((n, n))
+    if plant:
+        dense[rng.permutation(n), np.arange(n)] = 1.0
+    extra = rng.random((n, n)) < 0.2
+    dense[extra] = rng.choice((-1.0, 1.0), size=int(extra.sum()))
+    return dense * 10.0 ** rng.uniform(-6.0, 6.0, size=(n, n))
 
 
 class TestSparseVector:
