@@ -24,7 +24,7 @@ from .spai import SpaiConfig
 from .sparse_core import (CscMatrix, MatrixMarketError, StructurallySingularError,
                           column_stats, matvec, read_matrix_market,
                           write_matrix_market)
-from .splitting import condition_estimates, classify, split
+from .splitting import STRATEGIES, condition_estimates, classify, split
 
 DEFAULT_MEM_GUARD = 2 << 30  # 2 GiB dense-workspace guard
 
@@ -43,9 +43,9 @@ def _add_build_flags(p: argparse.ArgumentParser, with_method: bool = True) -> No
     if with_method:
         p.add_argument("--method", choices=("spai", "psai"), default="psai")
     p.add_argument("--threads", type=int, default=1,
-                   help="preconditioner build only: spai and psai split the columns "
-                        "into that many contiguous chunks, each built in lockstep "
-                        "on its own thread; the solves run serially")
+                   help="preconditioner build only: worker threads for spai and psai, "
+                        "which build at least this many contiguous column chunks of at "
+                        "most 512 columns, each in lockstep; the solves run serially")
     p.add_argument("-ep", "--delta", type=float, default=0.4,
                    help="residual tolerance per preconditioner column")
     p.add_argument("-mn", "--mn", type=int, default=5,
@@ -61,7 +61,7 @@ def _add_build_flags(p: argparse.ArgumentParser, with_method: bool = True) -> No
 def _add_split_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--factor", type=float, default=10.0,
                    help="irregularity threshold multiplier on p")
-    p.add_argument("--strategy", choices=("nearest", "largest"), default="nearest")
+    p.add_argument("--strategy", choices=STRATEGIES, default="nearest")
     p.add_argument("--p-kept", type=int, default=None)
 
 

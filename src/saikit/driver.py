@@ -27,7 +27,7 @@ from .krylov import SolveOutcome, bicgstab
 from .psai import PsaiConfig, psai
 from .spai import SpaiConfig, spai
 from .sparse_core import CscMatrix, matvec, permute_rows, zero_free_diagonal_permutation
-from .splitting import split
+from .splitting import STRATEGIES, split
 
 SCHEMA_VERSION = 1
 POSTHOC_ROUNDS = 8  # posthoc re-solve rounds before the solves are kept as they are
@@ -63,18 +63,16 @@ class DriverConfig:
     threads: int = 1
 
     def __post_init__(self):
-        if not 0.0 < self.epsilon < np.inf:
-            raise ValueError("epsilon must be finite and positive")
-        if self.c_policy not in ("fixed", "posthoc"):
-            raise ValueError("c_policy must be 'fixed' or 'posthoc'")
-        if self.method not in ("spai", "psai"):
-            raise ValueError("method must be 'spai' or 'psai'")
-        if self.preprocess not in ("auto", "always", "never"):
-            raise ValueError("preprocess must be 'auto', 'always' or 'never'")
-        if not 0.0 < self.c_fixed < np.inf:
-            raise ValueError("c_fixed must be finite and positive")
-        if self.max_iter < 1 or self.threads < 1:
-            raise ValueError("max_iter and threads must be >= 1")
+        for name in ("epsilon", "c_fixed", "factor"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and positive")
+        for name, allowed in (("c_policy", ("fixed", "posthoc")), ("method", ("spai", "psai")),
+                              ("preprocess", ("auto", "always", "never")),
+                              ("strategy", STRATEGIES)):
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"{name} must be one of {allowed}, not {getattr(self, name)!r}")
+        if self.max_iter < 1 or self.threads < 1 or (self.p_kept is not None and self.p_kept < 1):
+            raise ValueError("max_iter, threads and p_kept must be >= 1")
 
 
 @dataclass

@@ -197,17 +197,12 @@ class LsWorkspace:
     def solution(self, t: int = 0) -> SparseVector:
         """Current minimizer of target t as a sparse vector over its pattern."""
         at = self._span(self._owner, t)
-        return SparseVector._from_unique(self.n_cols, self._cols[at], self._coeffs[at])
-
-    def solutions(self) -> list[SparseVector]:
-        """:meth:`solution` of every target, in one pass; a failed target's is empty."""
-        return SparseVector._split(self.n_cols, len(self.targets), self._owner,
-                                   self._cols, self._coeffs)
+        return SparseVector(self.n_cols, self._cols[at], self._coeffs[at])
 
     def residual(self, t: int = 0) -> SparseVector:
         """Residual A(:, S) m - e_k of target t as a sparse vector over its rows L."""
         at = self._span(self._row_owner, t)
-        return SparseVector._from_unique(self.n_rows, self._rows[at], self._resid_vec[at])
+        return SparseVector(self.n_rows, self._rows[at], self._resid_vec[at])
 
     def residuals(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Flat ``(owner, row, residual)`` arrays, rows ascending in each target; do not write."""

@@ -18,13 +18,14 @@ share its batch, so ``psai_column`` is the batch of one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csc_matrix as _scipy_csc
 
 from .lstsq import DegeneratePatternError, _member, ls_init
 from .sparse_core import CscMatrix, SparseVector, norm1
-from .spai import _build_columns, _error, _ones_pattern
+from .spai import _build_columns, _ones_pattern, _Report
 
 
 @dataclass
@@ -44,6 +45,8 @@ class PsaiConfig:
                 raise ValueError("tol_policy must be 'adaptive' or a fixed float")
         elif not 0.0 <= self.tol_policy < np.inf:
             raise ValueError("fixed drop tolerance must be finite and >= 0")
+        if self.max_workspace_bytes is not None and self.max_workspace_bytes < 1:
+            raise ValueError("max_workspace_bytes must be >= 1, or None for no limit")
 
 
 @dataclass
@@ -59,11 +62,19 @@ class PsaiColumnResult:
 
 
 @dataclass
-class PsaiReport:
-    residuals: np.ndarray
-    l_m: int
-    columns: list[PsaiColumnResult]
-    errors: list[tuple[int, str]]
+class PsaiReport(_Report):
+    tols: tuple         # (column, drop tolerance) of each dropping pass
+    drops: tuple        # (column, loop, dropped column, magnitude, tolerance)
+
+    @property
+    def l_m(self) -> int:
+        return int(self.loops.max(initial=0))
+
+    @cached_property
+    def columns(self) -> list[PsaiColumnResult]:
+        drops = self._by_column(self.drops)
+        return self._results(PsaiColumnResult, drops=drops, dropped_count=list(map(len, drops)),
+                             tol_history=self._by_column(self.tols))
 
 
 def psai_tol(delta: float, nnz_mk: int, a_norm1: float) -> float:
@@ -93,12 +104,12 @@ def _pattern_step(pattern_b, owner: np.ndarray, cols: np.ndarray,
 
 
 def _lockstep(a: CscMatrix, ks: np.ndarray, cfg: PsaiConfig, a_norm1: float,
-              dropping: bool, pattern_b) -> tuple[list[PsaiColumnResult], dict[int, Exception]]:
+              dropping: bool, pattern_b):
     """Build the columns ``ks`` together, each loop one batch step for all.
 
-    Returns a result per column and the exception of each failed column,
-    by position in ``ks``; a failed column's result is the zero vector with
-    its error.
+    Returns what ``spai._build_columns`` joins: the failures, final
+    residual norms and loop counts by position in ``ks``, and the records
+    of :class:`PsaiReport` with the final ``pattern``.
     """
     n = a.n_cols
     n_t = len(ks)
@@ -106,8 +117,8 @@ def _lockstep(a: CscMatrix, ks: np.ndarray, cfg: PsaiConfig, a_norm1: float,
     for t, exc in ws.errors.items():
         if isinstance(exc, DegeneratePatternError):
             ws.errors[t] = DegeneratePatternError(f"column {ks[t]}: {exc}")
-    drops: list[list] = [[] for _ in range(n_t)]
-    tol_history: list[list] = [[] for _ in range(n_t)]
+    none, empty = np.empty(0, dtype=np.int64), np.empty(0)
+    tols, drops = [(none, empty)], [(none, none, none, empty, empty)]
     loops_used = np.zeros(n_t, dtype=np.int64)
     active = np.ones(n_t, dtype=bool)
     active[list(ws.errors)] = False
@@ -116,21 +127,20 @@ def _lockstep(a: CscMatrix, ks: np.ndarray, cfg: PsaiConfig, a_norm1: float,
     def apply_dropping(loop: int) -> None:
         owner, cols, coeffs = ws.pattern()
         nnz = np.bincount(owner[coeffs != 0.0], minlength=n_t)
+        at = np.flatnonzero(active & (nnz > 0))
         tol = np.full(n_t, -1.0)        # below every magnitude: nothing is dropped
-        for t, nnz_t in enumerate(nnz.tolist()):
-            if active[t] and nnz_t:
-                tol_t = (psai_tol(cfg.delta, nnz_t, a_norm1)
-                         if cfg.tol_policy == "adaptive" else float(cfg.tol_policy))
-                tol_history[t].append(tol_t)
-                tol[t] = tol_t
+        # psai_tol of every column at once, in the same floating-point operations
+        tol[at] = (cfg.delta / (nnz[at] * a_norm1) if cfg.tol_policy == "adaptive"
+                   else float(cfg.tol_policy))
+        tols.append((at, tol[at]))
         mags = np.abs(coeffs)
         doomed = (mags <= tol[owner]) & (cols != ks[owner])
         if not doomed.any():
             return
         order = np.lexsort((cols[doomed], owner[doomed]))     # each column's drops by index
         d_owner, d_cols = owner[doomed][order], cols[doomed][order]
-        for t, j, mag in zip(d_owner.tolist(), d_cols.tolist(), mags[doomed][order].tolist()):
-            drops[t].append((loop, j, mag, tol_history[t][-1]))
+        drops.append((d_owner, np.full(len(d_owner), loop), d_cols, mags[doomed][order],
+                      tol[d_owner]))
         ws.drop_columns(a, d_cols, d_owner)
         active[list(ws.errors)] = False
 
@@ -150,31 +160,18 @@ def _lockstep(a: CscMatrix, ks: np.ndarray, cfg: PsaiConfig, a_norm1: float,
         loops_used[active] = loop
         if dropping:
             apply_dropping(loop)
-
-    norms = ws.residual_norms.tolist()
-    results = [PsaiColumnResult(m_k=m_k, residual_norm=1.0, loops_used=0, dropped_count=0,
-                                converged=False, error=_error(ws.errors[t]))
-               if t in ws.errors else
-               PsaiColumnResult(m_k=m_k, residual_norm=norms[t], loops_used=int(loops_used[t]),
-                                dropped_count=len(drops[t]), converged=norms[t] <= cfg.delta,
-                                drops=drops[t], tol_history=tol_history[t])
-               for t, m_k in enumerate(ws.solutions())]
-    return results, ws.errors
+    return ws.errors, ws.residual_norms, loops_used, {
+        "pattern": [ws.pattern()], "tols": tols, "drops": drops}
 
 
 def psai_column(a: CscMatrix, k: int, cfg: PsaiConfig,
                 a_norm1: float | None = None,
                 dropping: bool = True) -> PsaiColumnResult:
     """Adaptive power-pattern column, the batch of one; raises on failure."""
-    if a.n_rows != a.n_cols:
-        raise ValueError("square matrix required")
     if a_norm1 is None:
         a_norm1 = norm1(a)
-    results, errors = _lockstep(a, np.array([k], dtype=np.int64), cfg, a_norm1,
-                                dropping, _ones_pattern(a))
-    if errors:
-        raise errors[0]
-    return results[0]
+    return PsaiReport(delta=cfg.delta, **_build_columns(
+        a, 1, lambda ks: _lockstep(a, ks, cfg, a_norm1, dropping, _ones_pattern(a)), k)).columns[0]
 
 
 def bpsai_column(a: CscMatrix, k: int, cfg: PsaiConfig,
@@ -187,18 +184,13 @@ def psai(a: CscMatrix, cfg: PsaiConfig | None = None, threads: int = 1,
          dropping: bool = True) -> tuple[CscMatrix, PsaiReport]:
     """Assemble the preconditioner, all columns in lockstep; failures stay local.
 
-    ``threads`` splits the columns into that many contiguous chunks, each
-    built as one lockstep batch on its own worker thread (see
-    ``spai._build_columns``).
+    The columns are cut into contiguous chunks of at most 512, and at
+    least ``threads`` of them, each built as one lockstep batch on
+    ``threads`` worker threads (see ``spai._build_columns``).
     """
     cfg = cfg or PsaiConfig()
-    if a.n_rows != a.n_cols and a.n_cols:
-        raise ValueError("square matrix required")
     a1 = norm1(a)
     pattern_b = _ones_pattern(a)
-    results, m, residuals, errors = _build_columns(
-        a, threads, lambda ks: _lockstep(a, ks, cfg, a1, dropping, pattern_b))
-    report = PsaiReport(residuals=residuals,
-                        l_m=max((r.loops_used for r in results), default=0),
-                        columns=results, errors=errors)
-    return m, report
+    report = PsaiReport(delta=cfg.delta, **_build_columns(
+        a, threads, lambda ks: _lockstep(a, ks, cfg, a1, dropping, pattern_b)))
+    return report.m, report

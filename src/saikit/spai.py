@@ -8,13 +8,17 @@ structural product finds the candidates, one product A^T R of the
 residuals R scores them, one lexsort picks them and one batched augment
 re-solves. A column's result does not depend on its batch, so
 ``spai_column`` is the batch of one. ``_build_columns`` chunks the columns
-for both constructions.
+for both constructions and assembles M in one step; each loop's history
+stays in flat arrays until a report's ``columns`` is read.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 from scipy.sparse import csc_matrix as _scipy_csc
@@ -48,6 +52,8 @@ class SpaiConfig:
             raise ValueError("l_max must be >= 0")
         if self.mn < 1:
             raise ValueError("mn must be >= 1")
+        if self.max_workspace_bytes is not None and self.max_workspace_bytes < 1:
+            raise ValueError("max_workspace_bytes must be >= 1, or None for no limit")
 
 
 @dataclass
@@ -70,12 +76,67 @@ class ColumnResult:
 
 
 @dataclass
-class SpaiReport:
+class _Report:
+    """A build's flat records; ``columns`` builds the per-column results on first use.
+
+    A record is a tuple of flat arrays, the column first, each column's
+    entries in loop order. A failed column has no record, residual norm
+    1.0, 0 loops and an empty column of ``m``.
+    """
+
+    m: CscMatrix
+    delta: float
     residuals: np.ndarray
-    n_c: int
-    columns: list[ColumnResult]
-    max_candidates: int
+    loops: np.ndarray
     errors: list[tuple[int, str]]
+
+    def _by_column(self, record: tuple) -> list[list]:
+        """Each column's values of the record's one field, or tuples of several, in order."""
+        owner, *fields = record
+        order = np.argsort(owner, kind="stable")
+        values = [f[order].tolist() for f in fields]
+        entries = values[0] if len(values) == 1 else list(zip(*values))
+        ptr = np.searchsorted(owner[order], np.arange(len(self.residuals) + 1)).tolist()
+        return [entries[lo:hi] for lo, hi in zip(ptr[:-1], ptr[1:])]
+
+    def _results(self, result, **history: list) -> list:
+        """A ``result`` per column, given each column's entry of every ``history`` list."""
+        errors = dict(self.errors)
+        return [result(m_k=SparseVector(self.m.n_rows, *self.m.col(k)), residual_norm=norm,
+                       loops_used=loops, converged=norm <= self.delta, error=errors.get(k),
+                       **{name: lists[k] for name, lists in history.items()})
+                for k, (norm, loops) in enumerate(zip(self.residuals.tolist(),
+                                                      self.loops.tolist()))]
+
+
+@dataclass
+class SpaiReport(_Report):
+    norms: tuple        # (column, residual norm) at the start of each loop
+    sizes: tuple        # (column, candidates, residual rows) of each growing loop
+    scored: tuple       # (column, loop, candidate, rho, picked), with record_choices
+
+    @property
+    def n_c(self) -> int:
+        return int(np.count_nonzero(self.residuals > self.delta))
+
+    @property
+    def max_candidates(self) -> int:
+        return int(self.sizes[1].max(initial=0))
+
+    @cached_property
+    def columns(self) -> list[ColumnResult]:
+        profiles = []
+        for norms, sizes, scored in zip(*map(self._by_column,
+                                             (self.norms, self.sizes, self.scored))):
+            steps = [list(g) for _, g in groupby(scored, key=itemgetter(0))]
+            profiles.append(ColumnProfile(
+                candidates_per_loop=[c for c, _ in sizes],
+                residual_rows_per_loop=[r for _, r in sizes],
+                residual_norms=norms,
+                choices=[[(j, rho) for _, j, rho, _ in step] for step in steps],
+                chosen=[[j for _, j, _, picked in sorted(step, key=itemgetter(2, 1)) if picked]
+                        for step in steps]))
+        return self._results(ColumnResult, profile=profiles)
 
 
 def _ones_pattern(a: CscMatrix) -> _scipy_csc:
@@ -135,19 +196,13 @@ def spai_profitability(a: CscMatrix, r, cand, col_sqnorms: np.ndarray | None = N
     return scored, rho, cand[~live]
 
 
-def _error(exc: Exception) -> str:
-    """A failed column's ``error`` field."""
-    return f"{type(exc).__name__}: {exc}"
-
-
-def _lockstep(a: CscMatrix, ks: np.ndarray,
-              cfg: SpaiConfig) -> tuple[list[ColumnResult], dict[int, Exception]]:
+def _lockstep(a: CscMatrix, ks: np.ndarray, cfg: SpaiConfig):
     """Grow the columns ``ks`` together, each loop one batch step for all.
 
     Column k starts at {k}, or with no column when column k of A is empty
-    (no start can fit it). Returns a result per column and the exception of
-    each failed column, by position in ``ks``; a failed column's result is
-    the zero vector with its error.
+    (no start can fit it). Returns what :func:`_build_columns` joins: the
+    failures, final residual norms and loop counts by position in ``ks``,
+    and the records of :class:`SpaiReport` with the final ``pattern``.
     """
     n, n_t = a.n_cols, len(ks)
     pattern_t = _ones_pattern(a).T
@@ -155,15 +210,15 @@ def _lockstep(a: CscMatrix, ks: np.ndarray,
     start = np.flatnonzero(a.per_col_nnz[ks])
     ws = ls_init(a, ks, (start, ks[start]), max_workspace_bytes=cfg.max_workspace_bytes)
 
-    profiles = [ColumnProfile() for _ in range(n_t)]
+    none, empty = np.empty(0, dtype=np.int64), np.empty(0)
+    norms, sizes = [(none, empty)], [(none, none, none)]
+    scored = [(none, none, none, empty, np.empty(0, dtype=bool))]
     loops_used = np.zeros(n_t, dtype=np.int64)
     live = np.ones(n_t, dtype=bool)
     live[list(ws.errors)] = False
     for loop in range(cfg.l_max + 1):
-        norms = ws.residual_norms
-        for t in np.flatnonzero(live).tolist():
-            profiles[t].residual_norms.append(float(norms[t]))
-        live &= ~(norms <= cfg.delta)
+        norms.append((np.flatnonzero(live), ws.residual_norms[live]))
+        live &= ~(ws.residual_norms <= cfg.delta)
         if loop == cfg.l_max or not live.any():
             break
         r_owner, r_rows, r_vals = ws.residuals()
@@ -172,11 +227,8 @@ def _lockstep(a: CscMatrix, ks: np.ndarray,
         r = _scipy_csc((r_vals[nz], r_rows[nz], ptr), shape=(a.n_rows, n_t))
         s_owner, s_cols, _ = ws.pattern()
         cand = spai_candidates(a, r, s_owner * n + s_cols, pattern_t)
-        n_cand = np.bincount(cand // n, minlength=n_t)
-        for t, c, m in zip(np.flatnonzero(live).tolist(), n_cand[live].tolist(),
-                           np.diff(ptr)[live].tolist()):
-            profiles[t].candidates_per_loop.append(c)
-            profiles[t].residual_rows_per_loop.append(m)
+        sizes.append((np.flatnonzero(live), np.bincount(cand // n, minlength=n_t)[live],
+                      np.diff(ptr)[live]))
         keys, rho, _ = spai_profitability(a, r, cand, col_sqnorms)
         p_owner = keys // n
         p_cols = keys - p_owner * n
@@ -188,24 +240,14 @@ def _lockstep(a: CscMatrix, ks: np.ndarray,
         start = np.cumsum(n_live) - n_live
         pick = order[np.arange(len(order)) - start[p_owner[order]] < cfg.mn]
         if cfg.record_choices:
-            chosen = np.split(p_cols[pick], np.cumsum(np.minimum(n_live, cfg.mn))[:-1])
-            for t in np.flatnonzero(live).tolist():
-                lo, hi = start[t], start[t] + n_live[t]
-                profiles[t].choices.append(list(zip(p_cols[lo:hi].tolist(),
-                                                    rho[lo:hi].tolist())))
-                profiles[t].chosen.append(chosen[t].tolist())
+            picked = np.zeros(len(keys), dtype=bool)
+            picked[pick] = True
+            scored.append((p_owner, np.full(len(keys), loop), p_cols, rho, picked))
         ws.augment(a, p_cols[pick], p_owner[pick])
         loops_used[live] += 1
         live[list(ws.errors)] = False
-
-    norms = ws.residual_norms.tolist()
-    results = [ColumnResult(m_k=m_k, residual_norm=1.0, loops_used=0, converged=False,
-                            profile=ColumnProfile(), error=_error(ws.errors[t]))
-               if t in ws.errors else
-               ColumnResult(m_k=m_k, residual_norm=norms[t], loops_used=int(loops_used[t]),
-                            converged=norms[t] <= cfg.delta, profile=profiles[t])
-               for t, m_k in enumerate(ws.solutions())]
-    return results, ws.errors
+    return ws.errors, ws.residual_norms, loops_used, {
+        "pattern": [ws.pattern()], "norms": norms, "sizes": sizes, "scored": scored}
 
 
 def spai_column(a: CscMatrix, k: int, cfg: SpaiConfig) -> ColumnResult:
@@ -213,47 +255,55 @@ def spai_column(a: CscMatrix, k: int, cfg: SpaiConfig) -> ColumnResult:
 
     An empty column k, or a workspace guard trip, raises its error.
     """
-    if a.n_rows != a.n_cols:
-        raise ValueError("square matrix required")
     if not 0 <= k < a.n_cols:
         raise ValueError("target index k out of range")
-    results, errors = _lockstep(a, np.array([k], dtype=np.int64), cfg)
-    if errors:
-        raise errors[0]
-    return results[0]
+    return SpaiReport(delta=cfg.delta,
+                      **_build_columns(a, 1, lambda ks: _lockstep(a, ks, cfg), k)).columns[0]
 
 
-def _assemble_columns(n: int, columns: list[SparseVector]) -> CscMatrix:
-    """Deterministic concatenation of per-column sparse vectors."""
-    counts = np.array([c.nnz for c in columns], dtype=np.int64)
-    col_ptr = np.concatenate([[0], np.cumsum(counts)])
-    row_idx = (np.concatenate([c.indices for c in columns])
-               if counts.sum() else np.empty(0, dtype=np.int64))
-    values = (np.concatenate([c.values for c in columns])
-              if counts.sum() else np.empty(0))
-    return CscMatrix(n, len(columns), col_ptr, row_idx, values)
+def _build_columns(a: CscMatrix, threads: int, lockstep, k: int | None = None) -> dict:
+    """Report fields of every column, or of column k alone, built in lockstep chunks.
 
-
-def _build_columns(a: CscMatrix, threads: int, lockstep):
-    """Results, M, residual norms and ``(column, error)`` list, built in lockstep chunks.
-
-    ``lockstep(ks)`` builds columns ``ks`` as one batch and returns their
-    results first. ``threads`` threads build ``threads`` contiguous chunks,
-    or more so that none exceeds ``_BATCH_COLUMNS`` columns.
+    ``lockstep(ks)`` builds columns ``ks`` as one batch and returns its
+    failures, final residual norms, loop counts and records (array tuples
+    owned by positions in ``ks``, the final ``pattern`` among them).
+    ``threads`` worker threads build ``max(threads, ceil(n /
+    _BATCH_COLUMNS))`` contiguous chunks; M is assembled from the joined
+    patterns in one step. Column k built alone raises its failure.
     """
-    n_chunks = max(threads, -(-a.n_cols // _BATCH_COLUMNS))
-    chunks = np.array_split(np.arange(a.n_cols, dtype=np.int64),
-                            max(1, min(n_chunks, a.n_cols)))
-    run = lambda ks: lockstep(ks)[0]
+    if a.n_rows != a.n_cols and a.n_cols:
+        raise ValueError("square matrix required")
+    cols = np.arange(a.n_cols, dtype=np.int64) if k is None else np.array([k])
+    n = len(cols)
+    n_chunks = max(threads, -(-n // _BATCH_COLUMNS))
+    chunks = np.array_split(cols, max(1, min(n_chunks, n)))
     if threads <= 1:
-        parts = [run(ks) for ks in chunks]
+        parts = [lockstep(ks) for ks in chunks]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(run, chunks))
-    results = [r for part in parts for r in part]
-    m = _assemble_columns(a.n_rows, [r.m_k for r in results])
-    errors = [(k, r.error) for k, r in enumerate(results) if r.error]
-    return results, m, np.array([r.residual_norm for r in results]), errors
+            parts = list(pool.map(lockstep, chunks))
+    starts = np.cumsum([0] + [len(ks) for ks in chunks]).tolist()
+    failures = [(start + t, exc) for start, (errors, *_) in zip(starts, parts)
+                for t, exc in sorted(errors.items())]
+    if k is not None and failures:
+        raise failures[0][1]
+    failed = np.zeros(n, dtype=bool)
+    failed[[j for j, _ in failures]] = True
+
+    def join(batches: list) -> tuple:
+        owner, *rest = (np.concatenate(f) for f in zip(*[
+            (start + o, *more) for start, record in zip(starts, batches) for o, *more in record]))
+        keep = ~failed[owner]
+        return (owner[keep], *(f[keep] for f in rest))
+
+    records = {name: join([rec[name] for *_, rec in parts]) for name in parts[0][3]}
+    owner, rows, coeffs = records.pop("pattern")
+    residuals = np.concatenate([norms for _, norms, _, _ in parts])
+    loops = np.concatenate([loops for _, _, loops, _ in parts])
+    residuals[failed], loops[failed] = 1.0, 0
+    return dict(m=CscMatrix.from_coo(a.n_rows, n, rows, owner, coeffs), residuals=residuals,
+                loops=loops, errors=[(j, f"{type(exc).__name__}: {exc}") for j, exc in failures],
+                **records)
 
 
 def spai(a: CscMatrix, cfg: SpaiConfig | None = None,
@@ -262,15 +312,10 @@ def spai(a: CscMatrix, cfg: SpaiConfig | None = None,
 
     A column that cannot be computed (zero column, workspace guard) yields
     its best effort, here the zero vector, and is counted as non-converged
-    rather than aborting the whole matrix. ``threads`` splits the columns
-    as for ``psai``.
+    rather than aborting the whole matrix. ``threads`` worker threads
+    build the column chunks, as for ``psai`` (see :func:`_build_columns`).
     """
     cfg = cfg or SpaiConfig()
-    if a.n_rows != a.n_cols and a.n_cols:
-        raise ValueError("square matrix required")
-    results, m, residuals, errors = _build_columns(a, threads, lambda ks: _lockstep(a, ks, cfg))
-    max_cand = max((max(r.profile.candidates_per_loop, default=0) for r in results),
-                   default=0)
-    report = SpaiReport(residuals=residuals, n_c=int(np.sum(residuals > cfg.delta)),
-                        columns=results, max_candidates=max_cand, errors=errors)
-    return m, report
+    report = SpaiReport(delta=cfg.delta,
+                        **_build_columns(a, threads, lambda ks: _lockstep(a, ks, cfg)))
+    return report.m, report

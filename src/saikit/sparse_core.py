@@ -220,15 +220,7 @@ class SparseVector:
         self.values = _as_value_array(self.values)
         if len(self.indices) != len(self.values):
             raise ValueError("indices and values length mismatch")
-        self._purge_and_sort()
-        if len(self.indices):
-            if self.indices[0] < 0 or self.indices[-1] >= self.dim:
-                raise ValueError("index out of range")
-            if np.any(np.diff(self.indices) == 0):
-                raise ValueError("duplicate indices in sparse vector")
-
-    def _purge_and_sort(self) -> None:
-        """Keep the nonzero entries in index order as frozen copies; values must be finite."""
+        # the nonzero entries in index order, as frozen copies
         keep = self.values.nonzero()[0]
         keep = keep[self.indices[keep].argsort(kind="stable")]
         self.indices, self.values = self.indices[keep], self.values[keep]
@@ -236,41 +228,17 @@ class SparseVector:
             raise ValueError("vector values must be finite")
         self.indices.flags.writeable = False
         self.values.flags.writeable = False
+        if len(self.indices):
+            if self.indices[0] < 0 or self.indices[-1] >= self.dim:
+                raise ValueError("index out of range")
+            if np.any(np.diff(self.indices) == 0):
+                raise ValueError("duplicate indices in sparse vector")
 
     @classmethod
     def from_dense(cls, x) -> "SparseVector":
         x = np.asarray(x, dtype=np.float64)
         idx = np.flatnonzero(x)
         return cls(len(x), idx, x[idx])
-
-    @classmethod
-    def _from_unique(cls, dim: int, indices: np.ndarray,
-                     values: np.ndarray) -> "SparseVector":
-        """Vector over unique, in-range int64 ``indices``, skipping those two checks."""
-        out = cls.__new__(cls)
-        out.dim, out.indices, out.values = dim, indices, values
-        out._purge_and_sort()
-        return out
-
-    @classmethod
-    def _split(cls, dim: int, n: int, owner: np.ndarray, indices: np.ndarray,
-               values: np.ndarray) -> list["SparseVector"]:
-        """Vectors 0..n-1 from flat triples grouped by ascending ``owner``.
-
-        The ``(owner, index)`` pairs must be unique and in range; the zero
-        purge, sort and finite check run once for all of them.
-        """
-        flat = cls._from_unique(dim * n, owner * dim + indices, values)
-        owner = flat.indices // dim
-        local = flat.indices - owner * dim
-        local.flags.writeable = False
-        ptr = np.searchsorted(owner, np.arange(n + 1)).tolist()
-        out = []
-        for lo, hi in zip(ptr[:-1], ptr[1:]):
-            vec = cls.__new__(cls)
-            vec.dim, vec.indices, vec.values = dim, local[lo:hi], flat.values[lo:hi]
-            out.append(vec)
-        return out
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros(self.dim)
@@ -302,8 +270,8 @@ def column_stats(a: CscMatrix, factor: float = 10.0) -> ColumnStats:
     """Average/max column fill and the count of irregular columns."""
     if a.n_cols == 0 or a.nnz == 0:
         raise ValueError("column_stats requires a non-empty matrix")
-    if factor <= 0:
-        raise ValueError("factor must be positive")
+    if not 0.0 < factor < np.inf:
+        raise ValueError("factor must be finite and positive")
     per_col = a.per_col_nnz
     p = max(1, a.nnz // a.n_cols)
     threshold = factor * p

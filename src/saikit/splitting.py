@@ -19,6 +19,7 @@ from scipy.sparse.csgraph import connected_components
 from .sparse_core import CscMatrix, column_stats
 
 _M_MATRIX_DENSE_CUTOFF = 400
+STRATEGIES = ("nearest", "largest")    # which entries an irregular column keeps
 
 
 class ZeroDiagonalError(ValueError):
@@ -63,12 +64,10 @@ def _keep_indices(rows: np.ndarray, vals: np.ndarray, j: int,
     if strategy == "nearest":
         # distance ties resolved toward the smaller row index
         order = np.lexsort((rows, np.abs(rows - j)))
-    elif strategy == "largest":
+    else:                   # "largest"
         others = np.delete(np.arange(len(rows)), diag_pos)
         ranked = others[np.lexsort((rows[others], -np.abs(vals[others])))]
         order = np.concatenate([[diag_pos], ranked])
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
     return np.sort(order[:p_kept])
 
 
@@ -81,6 +80,8 @@ def split(a: CscMatrix, factor: float = 10.0, strategy: str = "nearest",
     """
     if a.n_rows != a.n_cols:
         raise ValueError("square matrix required")
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}")
     stats = column_stats(a, factor)
     if p_kept is None:
         p_kept = stats.p

@@ -10,12 +10,14 @@ DFS behind ``splitting._strongly_connected`` are kept verbatim, their
 imports aside, and so are the per-column PSAI build (``psai_column`` and
 ``psai``) and the per-column SPAI build (``spai_candidates``,
 ``_select_profitable``, ``spai_column`` and ``spai``) that the lockstep
-builds replaced, with the worker pool they ran on (``_map_columns``). They find their least-squares
-kernel ``ls_init``, and SPAI its ``spai_candidates`` and
-``spai_profitability``, as module globals, so a test may swap in another
-one. The one change to the SPAI loop: it writes the residual into its
-dense vector from ``ws.residual()``, as the workspace no longer has
-``scatter_residual``.
+builds replaced, with the worker pool they ran on (``_map_columns``), the
+concatenation that assembled their M (``_assemble_columns``) and the
+report types they filled (``SpaiReport`` and ``PsaiReport``, whose
+``columns`` was a plain list). They find their least-squares kernel
+``ls_init``, and SPAI its ``spai_candidates`` and ``spai_profitability``,
+as module globals, so a test may swap in another one. The one change to
+the SPAI loop: it writes the residual into its dense vector from
+``ws.residual()``, as the workspace no longer has ``scatter_residual``.
 
 The driver's two solve paths are kept too: ``solve_standard`` with its own
 single solve (``_standard_on``), and ``solve_irregular`` with its posthoc
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csc_matrix as _scipy_csc
@@ -39,12 +42,11 @@ from saikit import driver
 from saikit.driver import DriverConfig, SolveReport
 from saikit.krylov import SolveOutcome
 from saikit.lstsq import DegeneratePatternError, WorkspaceGuardError, _sorted_unique, ls_init
-from saikit.psai import PsaiColumnResult, PsaiConfig, PsaiReport, psai_tol
+from saikit.psai import PsaiColumnResult, PsaiConfig, psai_tol
 from saikit.sparse_core import (CscMatrix, MatrixMarketError, PathOrStream, SparseVector,
                                 StructurallySingularError, UnsupportedFieldError, _open_text,
                                 column_stats, norm1, transpose)
-from saikit.spai import (ColumnProfile, ColumnResult, SpaiConfig, SpaiReport,
-                         _assemble_columns)
+from saikit.spai import ColumnProfile, ColumnResult, SpaiConfig
 from saikit.splitting import SplitSystem, _keep_indices
 
 
@@ -287,6 +289,34 @@ def _strongly_connected(a: CscMatrix) -> bool:
             rev_adj[int(i)].append(j)
     return (reaches_all(lambda v: fwd_adj[v])
             and reaches_all(lambda v: rev_adj[v]))
+
+
+@dataclass
+class SpaiReport:
+    residuals: np.ndarray
+    n_c: int
+    columns: list[ColumnResult]
+    max_candidates: int
+    errors: list[tuple[int, str]]
+
+
+@dataclass
+class PsaiReport:
+    residuals: np.ndarray
+    l_m: int
+    columns: list[PsaiColumnResult]
+    errors: list[tuple[int, str]]
+
+
+def _assemble_columns(n: int, columns: list[SparseVector]) -> CscMatrix:
+    """Deterministic concatenation of per-column sparse vectors."""
+    counts = np.array([c.nnz for c in columns], dtype=np.int64)
+    col_ptr = np.concatenate([[0], np.cumsum(counts)])
+    row_idx = (np.concatenate([c.indices for c in columns])
+               if counts.sum() else np.empty(0, dtype=np.int64))
+    values = (np.concatenate([c.values for c in columns])
+              if counts.sum() else np.empty(0))
+    return CscMatrix(n, len(columns), col_ptr, row_idx, values)
 
 
 def _pattern_step(a: CscMatrix, frontier: np.ndarray) -> np.ndarray:

@@ -58,6 +58,11 @@ class TestAnalyze:
         assert rc == 0
         assert payload["s"] == 3
 
+    @pytest.mark.parametrize("factor", ["nan", "inf", "0"])
+    def test_bad_factor_exit_two(self, capsys, identity_mtx, factor):
+        assert main(["analyze", identity_mtx, "--factor", factor]) == 2
+        assert capsys.readouterr().out == ""
+
     def test_parse_error_exit_code(self, capsys, tmp_path):
         bad = tmp_path / "bad.mtx"
         bad.write_text("not a matrix\n")
@@ -196,13 +201,15 @@ class TestPrecondSolve:
         assert report["a"] >= 1.0
 
     @pytest.mark.parametrize("flags", [["--eps", "inf"], ["--eps", "nan"],
-                                       ["--c-policy", "fixed:inf"], ["--tol", "fixed:nan"]])
+                                       ["--c-policy", "fixed:inf"], ["--tol", "fixed:nan"],
+                                       ["--factor", "nan"], ["--factor", "inf"]])
     def test_non_finite_setting_exit_two(self, capsys, irregular_mtx, flags):
         assert main(["solve", irregular_mtx[0]] + flags) == 2
         assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("flags", [["--threads", "0"], ["--threads", "-3"],
-                                       ["--max-iter", "0"]])
+                                       ["--max-iter", "0"], ["--p-kept", "0"],
+                                       ["--mem-guard", "0"], ["--mem-guard", "-1"]])
     def test_count_below_one_exit_two(self, capsys, irregular_mtx, flags):
         assert main(["solve", irregular_mtx[0]] + flags) == 2
         assert capsys.readouterr().out == ""
@@ -259,6 +266,11 @@ class TestBench:
         (row,) = payload["rows"]
         assert row["status"] == "skipped: workspace guard"
         assert "a" not in row
+
+    @pytest.mark.parametrize("guard", ["0", "-1"])
+    def test_workspace_guard_below_one_exit_two(self, capsys, identity_mtx, guard):
+        assert main(["bench", identity_mtx, "--mem-guard", guard]) == 2
+        assert capsys.readouterr().out == ""
 
     def test_unknown_variant_rejected(self, capsys, identity_mtx):
         assert main(["bench", identity_mtx, "--variants", "X-FOO"]) == 2

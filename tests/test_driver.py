@@ -6,6 +6,8 @@ from saikit import (AssemblyError, CscMatrix, DriverConfig, SingularUpdateError,
                     smw_inverse_apply, solve_irregular, solve_standard, split,
                     subsystem_tolerances)
 from saikit import driver, sparse_core
+from saikit import psai as psai_module
+from saikit import spai as spai_module
 from .conftest import dense_split_factor, tridiagonal, with_dense_column
 
 
@@ -15,16 +17,22 @@ def dense_solver(dense: np.ndarray):
 
 class TestDriverConfig:
     @pytest.mark.parametrize("value", [np.inf, np.nan])
-    @pytest.mark.parametrize("name", ["epsilon", "c_fixed"])
+    @pytest.mark.parametrize("name", ["epsilon", "c_fixed", "factor"])
     def test_non_finite_setting_rejected(self, name, value):
         with pytest.raises(ValueError):
             DriverConfig(**{name: value})
 
     @pytest.mark.parametrize("value", [0, -3])
-    @pytest.mark.parametrize("name", ["threads", "max_iter"])
+    @pytest.mark.parametrize("name", ["threads", "max_iter", "p_kept"])
     def test_count_below_one_rejected(self, name, value):
         with pytest.raises(ValueError, match=">= 1"):
             DriverConfig(**{name: value})
+
+    @pytest.mark.parametrize("setting", [{"factor": 0.0}, {"factor": -2.0},
+                                         {"strategy": "bogus"}])
+    def test_bad_split_setting_rejected(self, setting):
+        with pytest.raises(ValueError):
+            DriverConfig(**setting)
 
 
 class TestSmwInverseApply:
@@ -407,3 +415,25 @@ class TestSolveIrregular:
         assert np.array_equal(rep1.x_hat, rep4.x_hat)
         assert rep1.iter_w == rep4.iter_w
         assert rep1.rr == rep4.rr
+
+
+@pytest.mark.parametrize("method", ["spai", "psai"])
+def test_untraced_build_makes_no_per_column_objects(method, monkeypatch):
+    dense = generate_test_matrix("dominant-row", 60, planted_dense_cols=1, seed=2).to_dense()
+    dense[:, 7] = 0.0               # column 7 cannot be fitted and fails
+    a = CscMatrix.from_dense(dense)
+    cfg = DriverConfig(method=method)
+    m_want, stats_want = driver.build_preconditioner(a, cfg)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an untraced build must not build per-column results")
+
+    for module, name in [(spai_module, "ColumnResult"), (spai_module, "ColumnProfile"),
+                         (psai_module, "PsaiColumnResult")]:
+        monkeypatch.setattr(module, name, forbidden)
+    m, stats = driver.build_preconditioner(a, cfg)
+    assert m.same_as(m_want) and m.values.tobytes() == m_want.values.tobytes()
+    assert m.per_col_nnz[7] == 0
+    del stats["t_setup"], stats_want["t_setup"]
+    assert stats == stats_want
+    assert stats["n_c" if method == "spai" else "n_failed"] >= 1

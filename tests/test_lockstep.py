@@ -132,6 +132,19 @@ def batch_input(kind: str, shuffled: bool, n: int = 24) -> CscMatrix:
     return a
 
 
+def check_report_sums(rep, cfg) -> None:
+    """The report's sums equal, bit for bit, those recomputed from its columns."""
+    cols = rep.columns
+    assert rep.residuals.tobytes() == np.array([c.residual_norm for c in cols]).tobytes()
+    assert rep.errors == [(k, c.error) for k, c in enumerate(cols) if c.error]
+    if isinstance(cfg, SpaiConfig):
+        assert rep.n_c == sum(c.residual_norm > cfg.delta for c in cols)
+        assert rep.max_candidates == max(
+            (max(c.profile.candidates_per_loop, default=0) for c in cols), default=0)
+    else:
+        assert rep.l_m == max((c.loops_used for c in cols), default=0)
+
+
 def check_batch_invariance(build, build_column, a: CscMatrix, cfg) -> None:
     """Threads 1, 3 and n give the same results, and so does each column alone."""
     n = a.n_cols
@@ -142,7 +155,9 @@ def check_batch_invariance(build, build_column, a: CscMatrix, cfg) -> None:
         built = [build(a, cfg, threads=threads) for threads in (3, n)]
     finally:
         sys.setswitchinterval(interval)
+    check_report_sums(rep1, cfg)
     for m_t, rep_t in built:
+        check_report_sums(rep_t, cfg)
         assert m_t.same_as(m1)
         for got, want in zip(rep_t.columns, rep1.columns):
             assert_same_column(got, want)

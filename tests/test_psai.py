@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from saikit import CscMatrix, PsaiConfig, bpsai_column, norm1, psai_column, psai_tol
+from saikit import (CscMatrix, PsaiConfig, SpaiConfig, bpsai_column, norm1, psai_column,
+                    psai_tol)
 from saikit.psai import psai
+from . import loop_reference
 from .conftest import random_dominant, tridiagonal
 
 
@@ -37,6 +39,13 @@ class TestConfig:
     def test_non_finite_fixed_tolerance_rejected(self, value):
         with pytest.raises(ValueError):
             PsaiConfig(tol_policy=value)
+
+    @pytest.mark.parametrize("guard", [0, -1])
+    @pytest.mark.parametrize("config", [SpaiConfig, PsaiConfig])
+    def test_workspace_guard_below_one_rejected(self, config, guard):
+        with pytest.raises(ValueError, match="max_workspace_bytes"):
+            config(max_workspace_bytes=guard)
+        assert config(max_workspace_bytes=None).max_workspace_bytes is None
 
 
 class TestColumn:
@@ -151,6 +160,17 @@ class TestAssembly:
             envelope = boolean_power_pattern(dense, k, report.columns[k].loops_used)
             rows = set(m.col(k)[0].tolist())
             assert rows <= envelope
+
+    @pytest.mark.parametrize("seed", [3, 8, 31])
+    def test_tolerances_are_psai_tol_bit_for_bit(self, seed):
+        # the build computes every column's tolerance in one vector expression
+        a = random_dominant(30, seed=seed, planted=1)
+        cfg = PsaiConfig(delta=0.1)
+        _, report = psai(a, cfg)
+        _, reference = loop_reference.psai(a, cfg)
+        assert [c.tol_history for c in report.columns] == \
+            [c.tol_history for c in reference.columns]
+        assert any(c.drops for c in report.columns)
 
     def test_threads_deterministic(self):
         a = random_dominant(20, seed=31, planted=1)

@@ -248,7 +248,6 @@ def test_spai_and_psai_name_their_modules():
     assert isinstance(saikit.spai, types.ModuleType)
     assert isinstance(saikit.psai, types.ModuleType)
     assert callable(m.spai) and callable(saikit.psai.psai)
-    assert m._assemble_columns is not None
 
 
 class TestIrregularityCounters:

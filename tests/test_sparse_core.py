@@ -224,6 +224,11 @@ class TestColumnStats:
         with pytest.raises(ValueError):
             column_stats(CscMatrix.empty(3, 3))
 
+    @pytest.mark.parametrize("factor", [np.nan, np.inf, 0.0])
+    def test_bad_factor_rejected(self, factor):
+        with pytest.raises(ValueError, match="factor"):
+            column_stats(CscMatrix.identity(4), factor)
+
     def test_reference_matrix_structural_fields(self):
         path = require_uf("fs_541_3")
         a = read_matrix_market(path)

@@ -56,6 +56,10 @@ class TestSplit:
         with pytest.raises(ValueError):
             split(tridiagonal(4), p_kept=0)
 
+    def test_unknown_strategy_rejected_with_no_irregular_column(self):
+        with pytest.raises(ValueError, match="unknown strategy"):
+            split(tridiagonal(4), strategy="bogus")
+
     def test_norms_never_grow(self):
         a = generate_test_matrix("dominant-row", 40, planted_dense_cols=2, seed=5)
         sys_ = split(a, factor=dense_split_factor(a))
