@@ -43,7 +43,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg.lapack import dgeqrf, dormqr, dtrtrs
 
-from .sparse_core import CscMatrix, SparseVector
+from .sparse_core import CscMatrix, SparseVector, key_parts, member, pointers, sorted_unique
 
 _DEPENDENT_TOL = 1e-12
 
@@ -119,17 +119,6 @@ def _residual(at: np.ndarray, terms: np.ndarray, is_k: np.ndarray, l_owner: np.n
     return resid, np.sqrt(np.bincount(l_owner, weights=resid * resid, minlength=n_t))
 
 
-def _sorted_unique(values: np.ndarray) -> np.ndarray:
-    """``np.unique`` of a non-empty array: one sort, then a mask of first elements."""
-    srt = np.sort(values)
-    return srt[np.concatenate(([True], srt[1:] != srt[:-1]))]
-
-
-def _member(srt: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Mask of the ``values`` found in non-empty sorted ``srt``."""
-    return srt[np.minimum(np.searchsorted(srt, values), len(srt) - 1)] == values
-
-
 def _merge(touched: np.ndarray, old: tuple, new: tuple) -> list[np.ndarray]:
     """Flat state arrays, owner first: ``new`` in place of the touched owners of ``old``."""
     keep = ~touched[old[0]]
@@ -161,7 +150,8 @@ class LsWorkspace:
         self.residual_norms = np.full(n_t, np.nan)
         self._owner = self._cols = self._row_owner = self._rows = np.empty(0, dtype=np.int64)
         self._coeffs = self._resid_vec = np.empty(0)
-        owner, cols = self._split(self._pairs(None, cols) if self.single else self._pairs(*cols))
+        keys = self._pairs(None, cols) if self.single else self._pairs(*cols)
+        owner, cols = key_parts(keys, self.n_cols)
         empty = np.ones(n_t, dtype=bool)
         empty[owner] = False
         for t in np.flatnonzero(empty):
@@ -183,7 +173,7 @@ class LsWorkspace:
     @property
     def cols(self) -> np.ndarray:
         """Pattern columns in ascending order, target after target."""
-        return self._split(np.sort(self._owner * self.n_cols + self._cols))[1]
+        return key_parts(np.sort(self._owner * self.n_cols + self._cols), self.n_cols)[1]
 
     @property
     def rows(self) -> np.ndarray:
@@ -219,12 +209,12 @@ class LsWorkspace:
         keys = self._pairs(owner, new_cols)
         if len(keys) == 0:
             return
-        new_owner, new_cols = self._split(keys)
+        new_owner, new_cols = key_parts(keys, self.n_cols)
         touched = np.zeros(len(self.targets), dtype=bool)
         touched[new_owner] = True
         old = touched[self._owner]
         old_owner, old_cols = self._owner[old], self._cols[old]
-        if _member(keys, old_owner * self.n_cols + old_cols).any():
+        if member(keys, old_owner * self.n_cols + old_cols).any():
             raise ValueError("augment columns must be disjoint from the pattern")
         owner = np.concatenate([old_owner, new_owner])
         order = np.argsort(owner, kind="stable")      # old columns first in each target
@@ -242,12 +232,11 @@ class LsWorkspace:
         touched[keys // self.n_cols] = True
         mine = touched[self._owner]
         remaining = np.sort(self._owner[mine] * self.n_cols + self._cols[mine])
-        if len(keys):
-            gone = _member(keys, remaining)
-            if np.count_nonzero(gone) != len(keys):
-                raise ValueError("drop set must be a subset of the pattern")
-            remaining = remaining[~gone]
-        rem_owner, rem_cols = self._split(remaining)
+        gone = member(keys, remaining)
+        if np.count_nonzero(gone) != len(keys):
+            raise ValueError("drop set must be a subset of the pattern")
+        remaining = remaining[~gone]
+        rem_owner, rem_cols = key_parts(remaining, self.n_cols)
         emptied = touched.copy()
         emptied[rem_owner] = False
         for t in np.flatnonzero(emptied):
@@ -270,11 +259,7 @@ class LsWorkspace:
             raise ValueError("owner index out of range")
         if cols.min() < 0 or cols.max() >= self.n_cols:
             raise ValueError("column index out of range")
-        return _sorted_unique(owner * self.n_cols + cols)
-
-    def _split(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        owner = keys // self.n_cols
-        return owner, keys - owner * self.n_cols
+        return sorted_unique(owner * self.n_cols + cols)
 
     def _span(self, owner: np.ndarray, t: int):
         """Positions of target t in a flat state array."""
@@ -312,13 +297,13 @@ class LsWorkspace:
         if len(owner) == 0:
             none = np.empty(0, dtype=np.int64)
             return none, np.empty(0), (none, none, np.empty(0)), (none, none, np.empty(0))
-        fitted = _sorted_unique(owner)
+        fitted = sorted_unique(owner)
         k_keys = fitted * n + self.targets[fitted]
         rows, vals, pos = a.columns(cols)
         e_owner = owner[pos]
         keys = e_owner * n + rows
-        l_keys = _sorted_unique(np.concatenate([keys, k_keys]))
-        l_owner = l_keys // n
+        l_keys = sorted_unique(np.concatenate([keys, k_keys]))
+        l_owner, l_rows = key_parts(l_keys, n)
         limit = self.max_workspace_bytes
         est = 16 * np.bincount(l_owner, minlength=n_t) * np.maximum(
             np.bincount(owner, minlength=n_t), 1)     # two m-by-p float64 arrays
@@ -343,7 +328,7 @@ class LsWorkspace:
             self._solve_blocks(coeffs, in_rows, in_cols, is_k, l_owner, owner, e_owner,
                                at, pos, vals)
         resid, norms = _residual(at, vals * coeffs[pos], is_k, l_owner, n_t)
-        return fitted, norms[fitted], (owner, cols, coeffs), (l_owner, l_keys - l_owner * n, resid)
+        return fitted, norms[fitted], (owner, cols, coeffs), (l_owner, l_rows, resid)
 
     def _solve_blocks(self, coeffs, in_rows, in_cols, is_k, l_owner, owner, e_owner,
                       at, pos, vals) -> None:
@@ -358,7 +343,7 @@ class LsWorkspace:
         row = (np.cumsum(in_rows) - 1 - row_start[l_owner])[at[ent]]
         col = (np.cumsum(in_cols) - 1 - col_start[owner])[pos[ent]]
         val = vals[ent]
-        ptr = np.searchsorted(e_owner[ent], np.arange(n_t + 1)).tolist()
+        ptr = pointers(e_owner[ent], n_t).tolist()
         ms, ps, rs, cs = (x.tolist() for x in (m, p, row_start, col_start))
         for t in np.flatnonzero(p).tolist():
             mt, r0, c0, lo, hi = ms[t], rs[t], cs[t], ptr[t], ptr[t + 1]

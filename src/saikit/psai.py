@@ -23,9 +23,9 @@ from functools import cached_property
 import numpy as np
 from scipy.sparse import csc_matrix as _scipy_csc
 
-from .lstsq import DegeneratePatternError, _member, ls_init
-from .sparse_core import CscMatrix, SparseVector, norm1
-from .spai import _build_columns, _ones_pattern, _Report
+from .lstsq import DegeneratePatternError, ls_init
+from .sparse_core import CscMatrix, SparseVector, member, norm1, owners, pointers
+from .spai import _build_columns, _Report
 
 
 @dataclass
@@ -88,23 +88,21 @@ def psai_tol(delta: float, nnz_mk: int, a_norm1: float) -> float:
     return delta / (nnz_mk * a_norm1)
 
 
-def _pattern_step(pattern_b, owner: np.ndarray, cols: np.ndarray,
+def _pattern_step(a: CscMatrix, owner: np.ndarray, cols: np.ndarray,
                   n_targets: int) -> tuple[np.ndarray, np.ndarray]:
     """Structural pattern of A applied to every target's frontier at once.
 
-    ``pattern_b`` is A's pattern with ones as its data, so nothing cancels;
-    the frontiers are flat ``(owner, col)`` arrays, target after target.
+    The frontiers are flat ``(owner, col)`` arrays, target after target.
     """
-    ptr = np.concatenate(([0], np.cumsum(np.bincount(owner, minlength=n_targets))))
-    f = _scipy_csc((np.ones(len(cols)), cols, ptr), shape=(pattern_b.shape[1], n_targets))
-    step = pattern_b @ f
+    f = _scipy_csc((np.ones(len(cols)), cols, pointers(owner, n_targets)),
+                   shape=(a.n_cols, n_targets))
+    step = a._scipy_pattern @ f
     step.sort_indices()
-    return (np.repeat(np.arange(n_targets), np.diff(step.indptr)),
-            step.indices.astype(np.int64))
+    return owners(step.indptr), step.indices.astype(np.int64)
 
 
 def _lockstep(a: CscMatrix, ks: np.ndarray, cfg: PsaiConfig, a_norm1: float,
-              dropping: bool, pattern_b):
+              dropping: bool):
     """Build the columns ``ks`` together, each loop one batch step for all.
 
     Returns what ``spai._build_columns`` joins: the failures, final
@@ -137,7 +135,7 @@ def _lockstep(a: CscMatrix, ks: np.ndarray, cfg: PsaiConfig, a_norm1: float,
         doomed = (mags <= tol[owner]) & (cols != ks[owner])
         if not doomed.any():
             return
-        order = np.lexsort((cols[doomed], owner[doomed]))     # each column's drops by index
+        order = np.argsort(owner[doomed] * n + cols[doomed])     # each column's drops by index
         d_owner, d_cols = owner[doomed][order], cols[doomed][order]
         drops.append((d_owner, np.full(len(d_owner), loop), d_cols, mags[doomed][order],
                       tol[d_owner]))
@@ -151,9 +149,9 @@ def _lockstep(a: CscMatrix, ks: np.ndarray, cfg: PsaiConfig, a_norm1: float,
         if not active.any():
             break
         keep = active[f_owner]
-        f_owner, f_cols = _pattern_step(pattern_b, f_owner[keep], f_cols[keep], n_t)
+        f_owner, f_cols = _pattern_step(a, f_owner[keep], f_cols[keep], n_t)
         owner, cols, _ = ws.pattern()
-        new = ~_member(np.sort(owner * n + cols), f_owner * n + f_cols)
+        new = ~member(np.sort(owner * n + cols), f_owner * n + f_cols)
         if new.any():
             ws.augment(a, f_cols[new], f_owner[new])
             active[list(ws.errors)] = False
@@ -171,7 +169,7 @@ def psai_column(a: CscMatrix, k: int, cfg: PsaiConfig,
     if a_norm1 is None:
         a_norm1 = norm1(a)
     return PsaiReport(delta=cfg.delta, **_build_columns(
-        a, 1, lambda ks: _lockstep(a, ks, cfg, a_norm1, dropping, _ones_pattern(a)), k)).columns[0]
+        a, 1, lambda ks: _lockstep(a, ks, cfg, a_norm1, dropping), k)).columns[0]
 
 
 def bpsai_column(a: CscMatrix, k: int, cfg: PsaiConfig,
@@ -190,7 +188,6 @@ def psai(a: CscMatrix, cfg: PsaiConfig | None = None, threads: int = 1,
     """
     cfg = cfg or PsaiConfig()
     a1 = norm1(a)
-    pattern_b = _ones_pattern(a)
     report = PsaiReport(delta=cfg.delta, **_build_columns(
-        a, threads, lambda ks: _lockstep(a, ks, cfg, a1, dropping, pattern_b)))
+        a, threads, lambda ks: _lockstep(a, ks, cfg, a1, dropping)))
     return report.m, report

@@ -23,8 +23,8 @@ from operator import itemgetter
 import numpy as np
 from scipy.sparse import csc_matrix as _scipy_csc
 
-from .lstsq import _member, ls_init
-from .sparse_core import CscMatrix, SparseVector
+from .lstsq import ls_init
+from .sparse_core import CscMatrix, SparseVector, key_parts, member, owners, pointers
 
 # Columns per lockstep batch at most: a batch holds the subproblems of all
 # its columns at once, so its memory grows with its size.
@@ -96,7 +96,7 @@ class _Report:
         order = np.argsort(owner, kind="stable")
         values = [f[order].tolist() for f in fields]
         entries = values[0] if len(values) == 1 else list(zip(*values))
-        ptr = np.searchsorted(owner[order], np.arange(len(self.residuals) + 1)).tolist()
+        ptr = pointers(owner, len(self.residuals)).tolist()
         return [entries[lo:hi] for lo, hi in zip(ptr[:-1], ptr[1:])]
 
     def _results(self, result, **history: list) -> list:
@@ -139,33 +139,23 @@ class SpaiReport(_Report):
         return self._results(ColumnResult, profile=profiles)
 
 
-def _ones_pattern(a: CscMatrix) -> _scipy_csc:
-    """A's pattern as a scipy matrix with ones as its data, so nothing cancels."""
-    return _scipy_csc((np.ones(a.nnz), a.row_idx, a.col_ptr), shape=(a.n_rows, a.n_cols))
-
-
 def _keys(c) -> tuple[np.ndarray, np.ndarray]:
     """Sorted ``t * n + j`` keys of the entries of a scipy n-by-n_t matrix, and their values."""
     c = c.tocsc()
-    owner = np.repeat(np.arange(c.shape[1], dtype=np.int64), np.diff(c.indptr))
-    return owner * c.shape[0] + c.indices, c.data
+    return owners(c.indptr) * c.shape[0] + c.indices, c.data
 
 
-def spai_candidates(a: CscMatrix, r, s, pattern_t=None) -> np.ndarray:
+def spai_candidates(a: CscMatrix, r, s) -> np.ndarray:
     """Candidate keys ``t * n + j``: the columns j touching residual t's rows, minus its pattern.
 
     ``r`` holds the residuals as the columns of a scipy sparse matrix with
-    no stored zeros; ``s`` holds the pattern keys. ``pattern_t``
-    may carry ``_ones_pattern(a).T`` to avoid rebuilding it per call. The
-    keys come out sorted, target after target.
+    no stored zeros; ``s`` holds the pattern keys. The keys come out
+    sorted, target after target.
     """
-    if pattern_t is None:
-        pattern_t = _ones_pattern(a).T
     r = _scipy_csc(r)
-    touched = _keys(pattern_t @ _scipy_csc((np.ones(r.nnz), r.indices, r.indptr),
-                                           shape=r.shape))[0]
-    s = np.sort(np.asarray(s, dtype=np.int64))
-    return touched[~_member(s, touched)] if len(s) else touched
+    touched = _keys(a._scipy_pattern.T @ _scipy_csc((np.ones(r.nnz), r.indices, r.indptr),
+                                                    shape=r.shape))[0]
+    return touched[~member(np.sort(np.asarray(s, dtype=np.int64)), touched)]
 
 
 def spai_profitability(a: CscMatrix, r, cand, col_sqnorms: np.ndarray | None = None,
@@ -183,16 +173,15 @@ def spai_profitability(a: CscMatrix, r, cand, col_sqnorms: np.ndarray | None = N
     if col_sqnorms is None:
         col_sqnorms = np.bincount(a.entry_cols(), weights=a.values ** 2, minlength=n)
     r = _scipy_csc(r)
-    owner = cand // n
-    live = col_sqnorms[cand - owner * n] != 0.0
-    scored, owner = cand[live], owner[live]
+    owner, col = key_parts(cand, n)
+    live = col_sqnorms[col] != 0.0
+    scored, owner, col = cand[live], owner[live], col[live]
     keys, sums = _keys(a._scipy.T @ r)     # a dot that sums to exactly 0 is not stored
     keys, sums = np.append(keys, -1), np.append(sums, 0.0)   # -1: the key of none
     at = np.searchsorted(keys[:-1], scored)
     dots = np.where(keys[at] == scored, sums[at], 0.0)
-    r2 = np.bincount(np.repeat(np.arange(r.shape[1]), np.diff(r.indptr)),
-                     weights=r.data * r.data, minlength=r.shape[1])
-    rho = np.sqrt(np.maximum(r2[owner] - dots * dots / col_sqnorms[scored - owner * n], 0.0))
+    r2 = np.bincount(owners(r.indptr), weights=r.data * r.data, minlength=r.shape[1])
+    rho = np.sqrt(np.maximum(r2[owner] - dots * dots / col_sqnorms[col], 0.0))
     return scored, rho, cand[~live]
 
 
@@ -205,7 +194,6 @@ def _lockstep(a: CscMatrix, ks: np.ndarray, cfg: SpaiConfig):
     and the records of :class:`SpaiReport` with the final ``pattern``.
     """
     n, n_t = a.n_cols, len(ks)
-    pattern_t = _ones_pattern(a).T
     col_sqnorms = np.bincount(a.entry_cols(), weights=a.values ** 2, minlength=n)
     start = np.flatnonzero(a.per_col_nnz[ks])
     ws = ls_init(a, ks, (start, ks[start]), max_workspace_bytes=cfg.max_workspace_bytes)
@@ -223,15 +211,14 @@ def _lockstep(a: CscMatrix, ks: np.ndarray, cfg: SpaiConfig):
             break
         r_owner, r_rows, r_vals = ws.residuals()
         nz = live[r_owner] & (r_vals != 0.0)
-        ptr = np.concatenate(([0], np.cumsum(np.bincount(r_owner[nz], minlength=n_t))))
+        ptr = pointers(r_owner[nz], n_t)
         r = _scipy_csc((r_vals[nz], r_rows[nz], ptr), shape=(a.n_rows, n_t))
         s_owner, s_cols, _ = ws.pattern()
-        cand = spai_candidates(a, r, s_owner * n + s_cols, pattern_t)
+        cand = spai_candidates(a, r, s_owner * n + s_cols)
         sizes.append((np.flatnonzero(live), np.bincount(cand // n, minlength=n_t)[live],
                       np.diff(ptr)[live]))
         keys, rho, _ = spai_profitability(a, r, cand, col_sqnorms)
-        p_owner = keys // n
-        p_cols = keys - p_owner * n
+        p_owner, p_cols = key_parts(keys, n)
         n_live = np.bincount(p_owner, minlength=n_t)
         live &= n_live > 0          # no (live) candidate can touch the residual: stuck
         if not live.any():

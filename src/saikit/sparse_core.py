@@ -6,6 +6,9 @@ Market files use 1-based indices on disk, coordinate format, real field
 All matrices are normalized on construction: duplicate entries summed,
 explicitly stored zeros purged, row indices sorted within each column.
 Instances are treated as immutable and are safe to share across workers.
+Flat sparse data is ordered by one int64 key, ``outer * inner_dim + inner``
+(``col * n_rows + row`` here; ``target * n + col`` or ``+ row`` in a build
+batch); the helpers below own that layout.
 """
 
 from __future__ import annotations
@@ -48,6 +51,40 @@ def _as_value_array(a) -> np.ndarray:
     return np.ascontiguousarray(a, dtype=np.float64)
 
 
+def owners(ptr: np.ndarray) -> np.ndarray:
+    """Owner of every entry of runs that start at ``ptr[:-1]``: i, ``ptr[i+1] - ptr[i]`` times."""
+    return np.repeat(np.arange(len(ptr) - 1, dtype=np.int64), np.diff(ptr))
+
+
+def pointers(owner: np.ndarray, n: int) -> np.ndarray:
+    """Run starts, and the end, of ``n`` owners whose entries lie owner after owner."""
+    return np.concatenate(([0], np.cumsum(np.bincount(owner, minlength=n))))
+
+
+def key_parts(keys: np.ndarray, inner_dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(outer, inner)`` of the keys ``outer * inner_dim + inner``."""
+    outer = keys // inner_dim
+    return outer, keys - outer * inner_dim
+
+
+def run_starts(srt: np.ndarray) -> np.ndarray:
+    """Mask of the first entry of each run of equal values in sorted ``srt``."""
+    return np.concatenate(([True], srt[1:] != srt[:-1]))[:len(srt)]
+
+
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """``np.unique``: one sort, then the first entry of each run."""
+    srt = np.sort(values)
+    return srt[run_starts(srt)]
+
+
+def member(srt: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Mask of the ``values`` found in sorted ``srt``."""
+    if len(srt) == 0:
+        return np.zeros(len(values), dtype=bool)
+    return srt[np.minimum(np.searchsorted(srt, values), len(srt) - 1)] == values
+
+
 @dataclass
 class CscMatrix:
     """Real sparse matrix in compressed sparse column form.
@@ -81,12 +118,8 @@ class CscMatrix:
         if len(self.row_idx):
             if self.row_idx.min() < 0 or self.row_idx.max() >= self.n_rows:
                 raise ValueError("row index out of range")
-            # strictly increasing rows within each column
-            d = np.diff(self.row_idx)
-            col_starts = self.col_ptr[1:-1]
-            interior = np.ones(len(d), dtype=bool)
-            interior[col_starts[(col_starts > 0) & (col_starts < len(self.row_idx))] - 1] = False
-            if np.any(d[interior] <= 0):
+            # with rows in range, the keys also increase from column to column
+            if np.any(np.diff(self.entry_cols() * self.n_rows + self.row_idx) <= 0):
                 raise ValueError("row indices must strictly increase within a column")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("matrix values must be finite")
@@ -110,21 +143,15 @@ class CscMatrix:
                 raise ValueError("row index out of range")
             if cols.min() < 0 or cols.max() >= n_cols:
                 raise ValueError("column index out of range")
-        order = np.lexsort((rows, cols))
-        rows, cols, vals = rows[order], cols[order], vals[order]
-        if len(rows):
-            new_group = np.empty(len(rows), dtype=bool)
-            new_group[0] = True
-            new_group[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-            starts = np.flatnonzero(new_group)
-            summed = np.add.reduceat(vals, starts)
-            rows, cols, vals = rows[starts], cols[starts], summed
+        keys = cols * n_rows + rows
+        order = np.argsort(keys, kind="stable")     # duplicates keep their order
+        keys, vals = keys[order], vals[order]
+        starts = np.flatnonzero(run_starts(keys))
+        if len(starts):
+            keys, vals = keys[starts], np.add.reduceat(vals, starts)
         keep = vals != 0.0
-        rows, cols, vals = rows[keep], cols[keep], vals[keep]
-        col_ptr = np.zeros(n_cols + 1, dtype=np.int64)
-        np.add.at(col_ptr, cols + 1, 1)
-        np.cumsum(col_ptr, out=col_ptr)
-        return cls(n_rows, n_cols, col_ptr, rows, vals)
+        cols, rows = key_parts(keys[keep], n_rows)
+        return cls(n_rows, n_cols, pointers(cols, n_cols), rows, vals[keep])
 
     @classmethod
     def from_dense(cls, arr) -> "CscMatrix":
@@ -174,7 +201,7 @@ class CscMatrix:
 
     def entry_cols(self) -> np.ndarray:
         """Column index of each stored entry, in storage order."""
-        return np.repeat(np.arange(self.n_cols, dtype=np.int64), self.per_col_nnz)
+        return owners(self.col_ptr)
 
     def diagonal(self) -> np.ndarray:
         """Dense diagonal, with 0.0 at positions lacking a stored entry."""
@@ -192,6 +219,12 @@ class CscMatrix:
     def _scipy(self) -> _scipy_csc:
         """scipy CSC copy, built on first use; its products sum in storage order."""
         return _scipy_csc((self.values, self.row_idx, self.col_ptr),
+                          shape=(self.n_rows, self.n_cols))
+
+    @cached_property
+    def _scipy_pattern(self) -> _scipy_csc:
+        """The pattern as a scipy CSC matrix with ones as its data, so no product cancels."""
+        return _scipy_csc((np.ones(self.nnz), self.row_idx, self.col_ptr),
                           shape=(self.n_rows, self.n_cols))
 
     def to_dense(self) -> np.ndarray:
@@ -355,6 +388,9 @@ def permute_rows(a: CscMatrix, perm) -> CscMatrix:
     perm = _as_index_array(perm)
     if perm.shape != (a.n_rows,):
         raise ValueError("permutation length mismatch")
+    if len(perm) and (perm.min() < 0 or perm.max() >= len(perm)
+                      or np.bincount(perm, minlength=len(perm)).min() != 1):
+        raise ValueError("perm must hold every row index exactly once")
     inv = np.empty_like(perm)
     inv[perm] = np.arange(a.n_rows, dtype=np.int64)
     return CscMatrix.from_coo(a.n_rows, a.n_cols, inv[a.row_idx], a.entry_cols(), a.values)

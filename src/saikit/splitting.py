@@ -50,7 +50,6 @@ class MatrixClassReport:
     m_matrix: bool
     m_matrix_certified: bool
     beta: np.ndarray
-    beta_tilde: np.ndarray | None = None
 
 
 def _keep_indices(rows: np.ndarray, vals: np.ndarray, j: int,
@@ -112,17 +111,11 @@ def split(a: CscMatrix, factor: float = 10.0, strategy: str = "nearest",
 
 def reconstruct(sys: SplitSystem) -> CscMatrix:
     """A_tilde + U V^T, for checking the splitting identity."""
-    at = sys.a_tilde
-    rows = [at.row_idx]
-    cols = [at.entry_cols()]
-    vals = [at.values]
-    for i, j in enumerate(sys.irregular_cols):
-        u_r, u_v = sys.u.col(i)
-        rows.append(u_r)
-        cols.append(np.full(len(u_r), j, dtype=np.int64))
-        vals.append(u_v)
-    return CscMatrix.from_coo(at.n_rows, at.n_cols, np.concatenate(rows),
-                              np.concatenate(cols), np.concatenate(vals))
+    at, u = sys.a_tilde, sys.u
+    u_cols = np.asarray(sys.irregular_cols, dtype=np.int64)[u.entry_cols()]
+    return CscMatrix.from_coo(at.n_rows, at.n_cols, np.concatenate([at.row_idx, u.row_idx]),
+                              np.concatenate([at.entry_cols(), u_cols]),
+                              np.concatenate([at.values, u.values]))
 
 
 # -- classifiers -----------------------------------------------------------

@@ -2,8 +2,13 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from saikit import CscMatrix, column_stats, generate_test_matrix
+
+# HYPOTHESIS_PROFILE=ci replays the same examples on every run
+settings.register_profile("ci", derandomize=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def dense_split_factor(a: CscMatrix) -> float:

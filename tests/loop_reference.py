@@ -1,7 +1,12 @@
 """Per-candidate and per-column loop kernels that vectorised ones replaced.
 
-They are kept as they were, less the argument checks and with the matrix
-passed in, as test oracles for ``spai.spai_profitability``,
+``CscMatrix.from_coo`` with its two-key ``np.lexsort`` and the
+interior-mask row order check of ``CscMatrix.__post_init__`` are kept
+verbatim as ``from_coo`` and ``check_csc``: the one returns the three CSC
+arrays in place of the matrix, the other raises what the constructor raised.
+
+The others are kept as they were, less the argument checks and with the
+matrix passed in, as test oracles for ``spai.spai_profitability``,
 ``sparse_core.matvec`` / ``matvec_t`` and ``CscMatrix.diagonal`` /
 ``has_full_structural_diagonal``. The structural row matching that the
 maximum-product one replaced (``zero_free_diagonal_permutation``), the
@@ -41,13 +46,76 @@ from scipy.sparse.csgraph import maximum_bipartite_matching as _max_matching
 from saikit import driver
 from saikit.driver import DriverConfig, SolveReport
 from saikit.krylov import SolveOutcome
-from saikit.lstsq import DegeneratePatternError, WorkspaceGuardError, _sorted_unique, ls_init
+from saikit.lstsq import DegeneratePatternError, WorkspaceGuardError, ls_init
 from saikit.psai import PsaiColumnResult, PsaiConfig, psai_tol
 from saikit.sparse_core import (CscMatrix, MatrixMarketError, PathOrStream, SparseVector,
-                                StructurallySingularError, UnsupportedFieldError, _open_text,
-                                column_stats, norm1, transpose)
+                                StructurallySingularError, UnsupportedFieldError,
+                                _as_index_array, _as_value_array, _open_text, column_stats,
+                                norm1, transpose)
+from saikit.sparse_core import sorted_unique as _sorted_unique
 from saikit.spai import ColumnProfile, ColumnResult, SpaiConfig
 from saikit.splitting import SplitSystem, _keep_indices
+
+
+def check_csc(n_rows: int, n_cols: int, col_ptr, row_idx, values) -> None:
+    """The checks of ``CscMatrix.__post_init__``, rows ordered by the interior mask."""
+    col_ptr = _as_index_array(col_ptr)
+    row_idx = _as_index_array(row_idx)
+    values = _as_value_array(values)
+    if n_rows < 0 or n_cols < 0:
+        raise ValueError("matrix dimensions must be non-negative")
+    if col_ptr.shape != (n_cols + 1,):
+        raise ValueError("col_ptr must have length n_cols + 1")
+    if col_ptr[0] != 0 or col_ptr[-1] != len(row_idx):
+        raise ValueError("col_ptr must start at 0 and end at nnz")
+    if np.any(np.diff(col_ptr) < 0):
+        raise ValueError("col_ptr must be non-decreasing")
+    if len(row_idx) != len(values):
+        raise ValueError("row_idx and values length mismatch")
+    if len(row_idx):
+        if row_idx.min() < 0 or row_idx.max() >= n_rows:
+            raise ValueError("row index out of range")
+        # strictly increasing rows within each column
+        d = np.diff(row_idx)
+        col_starts = col_ptr[1:-1]
+        interior = np.ones(len(d), dtype=bool)
+        interior[col_starts[(col_starts > 0) & (col_starts < len(row_idx))] - 1] = False
+        if np.any(d[interior] <= 0):
+            raise ValueError("row indices must strictly increase within a column")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("matrix values must be finite")
+    if np.any(values == 0.0):
+        raise ValueError("explicit zeros must be purged before construction")
+
+
+def from_coo(n_rows: int, n_cols: int, rows, cols, vals,
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Build from coordinate triplets; duplicates are summed, zeros purged."""
+    rows = _as_index_array(rows)
+    cols = _as_index_array(cols)
+    vals = _as_value_array(vals)
+    if not (len(rows) == len(cols) == len(vals)):
+        raise ValueError("triplet arrays must have equal length")
+    if len(rows):
+        if rows.min() < 0 or rows.max() >= n_rows:
+            raise ValueError("row index out of range")
+        if cols.min() < 0 or cols.max() >= n_cols:
+            raise ValueError("column index out of range")
+    order = np.lexsort((rows, cols))
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    if len(rows):
+        new_group = np.empty(len(rows), dtype=bool)
+        new_group[0] = True
+        new_group[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+        starts = np.flatnonzero(new_group)
+        summed = np.add.reduceat(vals, starts)
+        rows, cols, vals = rows[starts], cols[starts], summed
+    keep = vals != 0.0
+    rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    col_ptr = np.zeros(n_cols + 1, dtype=np.int64)
+    np.add.at(col_ptr, cols + 1, 1)
+    np.cumsum(col_ptr, out=col_ptr)
+    return col_ptr, rows, vals
 
 
 def spai_profitability(a: CscMatrix, r_dense: np.ndarray, cand,

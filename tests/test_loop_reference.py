@@ -1,6 +1,7 @@
 """Vectorised and library kernels against the loop kernels they replaced.
 
-``loop_reference`` keeps the per-candidate ``spai_profitability``, the
+``loop_reference`` keeps the two-key ``from_coo`` and its row order
+check, the per-candidate ``spai_profitability``, the
 ``bincount`` products, the per-column diagonal scans, the per-line Matrix
 Market reader, the per-column ``split``, the DFS connectivity check and
 the per-column SPAI build, and the driver's two solve paths.
@@ -16,7 +17,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csc_matrix
 
@@ -72,6 +73,72 @@ def test_profitability_matches_per_candidate_loop(seed):
     want = np.array([rho for _, rho in ref_rhos])
     tol = 4 * m * np.finfo(float).eps * float(r @ r)
     assert np.all(np.abs(got ** 2 - want ** 2) <= tol)
+
+
+# duplicates whose sum depends on their order (1e16 + 1 rounds to 1e16),
+# and ones that cancel to exactly 0
+_COO_VALUES = st.one_of(st.sampled_from([1e16, 1.0, -1e16, 0.5, -0.5, -3.0, 0.0, 5e-324]),
+                        st.floats(-1e3, 1e3))
+
+
+@st.composite
+def coo_triplets(draw):
+    n_rows, n_cols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    count = draw(st.integers(0, 30)) if n_rows and n_cols else 0
+    index = lambda dim: st.lists(st.integers(0, max(dim - 1, 0)), min_size=count, max_size=count)
+    return (n_rows, n_cols, draw(index(n_rows)), draw(index(n_cols)),
+            draw(st.lists(_COO_VALUES, min_size=count, max_size=count)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(coo_triplets())
+@example((3, 2, [1, 1, 1, 0], [1, 1, 1, 0], [1e16, 1.0, -1e16, 2.0]))
+@example((3, 2, [1, 1, 1, 2], [1, 1, 1, 1], [-1e16, 1e16, 1.0, 2.0]))
+@example((4, 3, [2, 0, 2, 2], [1, 0, 1, 1], [0.5, 1.0, -0.25, -0.25]))
+@example((0, 0, [], [], []))
+@example((0, 4, [], [], []))
+@example((4, 0, [], [], []))
+@example((2, 5, [1, 0, 1], [4, 4, 0], [1.0, -1.0, 3.0]))
+def test_from_coo_matches_two_key_lexsort(triplets):
+    n_rows, n_cols, *coo = triplets
+    got = CscMatrix.from_coo(n_rows, n_cols, *coo)
+    want = loop_reference.from_coo(n_rows, n_cols, *coo)
+    for g, w in zip((got.col_ptr, got.row_idx, got.values), want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
+@st.composite
+def csc_arrays(draw):
+    """Hand-built CSC arrays, mostly well formed, with rows in any order."""
+    n_rows, n_cols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    counts = draw(st.lists(st.integers(0, 4), min_size=n_cols, max_size=n_cols))
+    col_ptr = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
+    rows = draw(st.lists(st.integers(-1, n_rows), min_size=int(col_ptr[-1]),
+                         max_size=int(col_ptr[-1])))
+    if draw(st.booleans()):          # half the inputs keep their rows in range
+        rows = [min(max(r, 0), max(n_rows - 1, 0)) for r in rows]
+    values = draw(st.lists(st.sampled_from([1.0, -2.0, 0.0, np.inf]), min_size=len(rows),
+                           max_size=len(rows)))
+    return n_rows, n_cols, col_ptr, rows, values
+
+
+def _construct(build) -> str | None:
+    try:
+        build()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=500, deadline=None)
+@given(csc_arrays())
+@example((3, 1, [0, 2], [1, 1], [1.0, 1.0]))           # a repeated row: rejected
+@example((3, 1, [0, 2], [2, 1], [1.0, 1.0]))           # a descending row: rejected
+@example((3, 2, [0, 1, 2], [2, 0], [1.0, 1.0]))        # next column starts lower: accepted
+@example((3, 3, [0, 2, 2, 3], [0, 2, 1], [1.0, 1.0, 1.0]))
+def test_single_key_order_check_matches_interior_mask(arrays):
+    got = _construct(lambda: CscMatrix(*arrays))
+    assert got == _construct(lambda: loop_reference.check_csc(*arrays))
 
 
 @pytest.mark.parametrize("a", generator_inputs(60, seed=5))

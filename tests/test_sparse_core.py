@@ -11,6 +11,8 @@ from saikit import (CscMatrix, MatrixMarketError, SparseVector,
                     column_stats, matvec, matvec_t, norm1, norm_inf,
                     permute_rows, read_matrix_market, transpose,
                     write_matrix_market, zero_free_diagonal_permutation)
+from saikit.sparse_core import (key_parts, member, owners, pointers, run_starts,
+                                sorted_unique)
 from . import loop_reference
 from .conftest import tridiagonal, require_uf
 
@@ -326,6 +328,34 @@ class TestTranspose:
         at = transpose(a)
         assert np.array_equal(at.to_dense(), dense.T)
         assert transpose(at).same_as(a)
+
+
+class TestPermuteRows:
+    def test_rows_move(self):
+        a = CscMatrix.from_dense([[1.0, 0.0], [2.0, 3.0], [0.0, 4.0]])
+        assert np.array_equal(permute_rows(a, [2, 0, 1]).to_dense(), a.to_dense()[[2, 0, 1]])
+
+    @pytest.mark.parametrize("perm", [[0, 0, 2], [-1, 0, 1], [0, 1, 5], [1, 1, 1], [0, 1]])
+    def test_non_permutation_rejected(self, perm):
+        with pytest.raises(ValueError):
+            permute_rows(tridiagonal(3), perm)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 6), max_size=20), st.lists(st.integers(-1, 7), max_size=20),
+       st.integers(7, 9))
+def test_flat_layout_helpers(owner, values, n):
+    owner = np.sort(np.array(owner, dtype=np.int64))
+    ptr = pointers(owner, n)
+    assert ptr.dtype == np.int64 and np.array_equal(ptr, np.searchsorted(owner, np.arange(n + 1)))
+    assert np.array_equal(owners(ptr), owner)
+    inner = np.arange(len(owner)) % n
+    outer, got = key_parts(owner * n + inner, n)
+    assert np.array_equal(outer, owner) and np.array_equal(got, inner)
+    assert np.array_equal(owner[run_starts(owner)], np.unique(owner))
+    assert np.array_equal(sorted_unique(owner[::-1]), np.unique(owner))
+    values = np.array(values, dtype=np.int64)
+    assert np.array_equal(member(np.unique(owner), values), np.isin(values, owner))
 
 
 class TestZeroFreeDiagonal:
