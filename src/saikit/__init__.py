@@ -4,14 +4,15 @@ Irregular sparse matrices, those with a few columns far denser than the
 rest, defeat per-column approximate-inverse construction. This package
 splits such a matrix into a regular sparse part plus a rank-s correction,
 preconditions the regular part once, solves the s + 1 resulting systems
-with right-preconditioned BiCGStab, and recovers the original solution
-through the low-rank update formula with a controllable residual budget.
+with one block right-preconditioned BiCGStab, and recovers the original
+solution through the low-rank update formula with a controllable residual
+budget.
 """
 
 from .driver import (AssemblyError, DriverConfig, SingularUpdateError, SolveReport,
                      assemble_solution, smw_inverse_apply, solve_irregular,
                      solve_standard, subsystem_tolerances)
-from .krylov import SolveOutcome, bicgstab
+from .krylov import BlockOutcome, SolveOutcome, bicgstab
 from .lstsq import DegeneratePatternError, LsWorkspace, WorkspaceGuardError, ls_init
 # The build functions spai and psai are not re-exported: saikit.spai and
 # saikit.psai name their modules.

@@ -2,11 +2,11 @@
 
 Pipeline: optional row permutation to a zero-free, maximum-product
 diagonal, split into A_tilde + U V^T, one sparse approximate inverse M of
-A_tilde, s + 1 right-preconditioned BiCGStab solves with per-system
-tolerances that budget the overall relative residual, and recovery of x
-through the low-rank update formula. The report always carries the
-relative residual recomputed against the original A and b, never the
-solver's own estimate.
+A_tilde, one block right-preconditioned BiCGStab solve of the s + 1
+systems with per-system tolerances that budget the overall relative
+residual, and recovery of x through the low-rank update formula. The
+report always carries the relative residual recomputed against the
+original A and b, never the solver's own estimate.
 
 The s-by-s update system I + V^T W is solved in :func:`assemble_solution`,
 which :func:`smw_inverse_apply` runs on exact solves. Only the posthoc
@@ -207,16 +207,11 @@ def build_preconditioner(a: CscMatrix, cfg: DriverConfig) -> tuple[CscMatrix, di
     return m, _preconditioner_stats(cfg.method, m, a, setup, guard_hits, **quality)
 
 
-def _solve_systems(a: CscMatrix, m: CscMatrix, rhs_list: list[np.ndarray],
-                   tols: list[float], max_iter: int,
-                   x0_list: list[np.ndarray | None] | None = None,
-                   ) -> list[SolveOutcome]:
-    apply_op = lambda v: matvec(a, v)
-    apply_m = lambda v: matvec(m, v)
-    x0_list = x0_list or [None] * len(rhs_list)
-    return [bicgstab(apply_op, rhs, x0, apply_precond=apply_m, tol=tol,
-                     max_iter=max_iter)
-            for rhs, tol, x0 in zip(rhs_list, tols, x0_list)]
+def _solve_block(a: CscMatrix, m: CscMatrix, rhs: np.ndarray, tols: np.ndarray,
+                 max_iter: int, x0: np.ndarray | None = None) -> list[SolveOutcome]:
+    """One block BiCGStab over the columns of ``rhs``; one outcome per column."""
+    return bicgstab(lambda x: matvec(a, x), rhs, x0, apply_precond=lambda x: matvec(m, x),
+                    tol=tols, max_iter=max_iter).columns
 
 
 def _apply_preprocess(a: CscMatrix, b: np.ndarray,
@@ -278,11 +273,15 @@ def solve_standard(a: CscMatrix, b: np.ndarray, cfg: DriverConfig | None = None,
 
     This is the s = 0 case of the split solve: A_tilde is A (row-permuted
     when needed) and U is empty. ``m``, when given, is a preconditioner
-    already built for ``a`` as stored: the solve uses it as it is, with no
-    permutation and no build, and reports a setup time of 0.
+    already built for ``a`` as stored, of its n-by-n shape (else
+    ``ValueError``): the solve uses it as it is, with no permutation and no
+    build, and reports a setup time of 0.
     """
     cfg = cfg or DriverConfig()
     b = _checked_rhs(a, b)
+    if m is not None and (m.n_rows, m.n_cols) != (a.n_rows, a.n_cols):
+        raise ValueError(f"preconditioner is {m.n_rows}x{m.n_cols}, "
+                         f"matrix is {a.n_rows}x{a.n_cols}")
     if np.linalg.norm(b) == 0.0:
         return _zero_rhs_report(a, cfg, m)
     a_w, b_w = (a, b) if m is not None else _apply_preprocess(a, b, cfg.preprocess)
@@ -313,27 +312,28 @@ def _solve_split(a0: CscMatrix, b0: np.ndarray, a_tilde: CscMatrix, b_w: np.ndar
                  m: CscMatrix | None = None) -> SolveReport:
     """Solve A_tilde [y, w_1 .. w_s] = [b_w, U] with one M and assemble x.
 
-    With s = 0 the single system gets the whole budget epsilon. Otherwise
-    the tolerances split it between the systems, and under the posthoc
-    policy each round re-solves, from its last iterate at half its target,
-    every system whose residual misses the target that the current
-    estimate of c sets.
+    The s + 1 systems are one block BiCGStab call. With s = 0 the single
+    system gets the whole budget epsilon. Otherwise the tolerances split it
+    between the systems, and under the posthoc policy each round re-solves,
+    in one more block call from their last iterates at half their targets,
+    the systems whose residuals miss the targets that the current estimate
+    of c sets.
     """
     if m is None:
         m, stats = build_preconditioner(a_tilde, cfg)
     else:
         stats = _preconditioner_stats(cfg.method, m, a_tilde)
     s = len(irregular_cols)
-    rhs = [b_w] + list(u.to_dense().T.copy())
+    rhs = np.column_stack([b_w, u.to_dense()])
     if s == 0:
-        targets = [cfg.epsilon]
+        targets = np.array([cfg.epsilon])
     else:
         norm_b = float(np.linalg.norm(b_w))
-        norm_u = np.array([float(np.linalg.norm(col)) for col in rhs[1:]])
+        norm_u = np.array([float(np.linalg.norm(rhs[:, j])) for j in range(1, s + 1)])
         c_now = cfg.c_fixed if cfg.c_policy == "fixed" else 1.0
         tol_y, tol_w = subsystem_tolerances(cfg.epsilon, s, c_now, norm_b, norm_u)
-        targets = [tol_y] + list(tol_w)
-    outcomes = _solve_systems(a_tilde, m, rhs, targets, cfg.max_iter)
+        targets = np.concatenate([[tol_y], tol_w])
+    outcomes = _solve_block(a_tilde, m, rhs, targets, cfg.max_iter)
     w_hat = lambda: np.column_stack([np.empty((len(b_w), 0))] + [o.x for o in outcomes[1:]])
     posthoc_c = None
 
@@ -345,14 +345,12 @@ def _solve_split(a0: CscMatrix, b0: np.ndarray, a_tilde: CscMatrix, b_w: np.ndar
             break
         posthoc_c = float(np.linalg.norm(z))
         c_eff = max(posthoc_c, np.finfo(float).tiny)
-        targets = [tol_y] + list(subsystem_tolerances(cfg.epsilon, s, c_eff,
-                                                      norm_b, norm_u)[1])
+        targets[1:] = subsystem_tolerances(cfg.epsilon, s, c_eff, norm_b, norm_u)[1]
         stale = [i for i, o in enumerate(outcomes) if o.rel_residual >= targets[i]]
         if not stale:
             break
-        redone = _solve_systems(a_tilde, m, [rhs[i] for i in stale],
-                                [0.5 * targets[i] for i in stale], cfg.max_iter,
-                                x0_list=[outcomes[i].x for i in stale])
+        redone = _solve_block(a_tilde, m, rhs[:, stale], 0.5 * targets[stale], cfg.max_iter,
+                              x0=np.column_stack([outcomes[i].x for i in stale]))
         improved = [(i, o) for i, o in zip(stale, redone)
                     if o.rel_residual < outcomes[i].rel_residual]
         if not improved:

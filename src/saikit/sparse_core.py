@@ -314,9 +314,13 @@ def column_stats(a: CscMatrix, factor: float = 10.0) -> ColumnStats:
 
 
 def matvec(a: CscMatrix, x) -> np.ndarray:
-    """y = A x with a fixed column-major accumulation order."""
+    """y = A x with a fixed column-major accumulation order.
+
+    ``x`` is a vector or an ``(n_cols, k)`` block; each column of a block
+    gets the bits it would get alone. A C-order block is read without a copy.
+    """
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != (a.n_cols,):
+    if x.ndim not in (1, 2) or x.shape[0] != a.n_cols:
         raise ValueError(f"dimension mismatch: matrix has {a.n_cols} columns, "
                          f"vector has shape {x.shape}")
     return a._scipy @ x

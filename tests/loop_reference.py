@@ -24,13 +24,20 @@ as module globals, so a test may swap in another one. The one change to
 the SPAI loop: it writes the residual into its dense vector from
 ``ws.residual()``, as the workspace no longer has ``scatter_residual``.
 
+The per-system BiCGStab (``bicgstab``, which judged convergence on the
+true residual of every half step) and the driver's loop over the systems
+(``_solve_systems``) that the block solve replaced are kept verbatim, their
+imports aside; ``_solve_systems`` finds ``bicgstab`` and ``matvec`` as
+module globals, so it runs the loop kernels of this module.
+
 The driver's two solve paths are kept too: ``solve_standard`` with its own
 single solve (``_standard_on``), and ``solve_irregular`` with its posthoc
 rounds, which held the ``y`` system apart from the ``w_j`` systems and
 rebuilt the re-solve list with a ``-1`` marker for ``y``. They call the
-driver's ``build_preconditioner``, ``_solve_systems``,
-``assemble_solution`` and ``_finish_report``, which now takes the ``s + 1``
-outcomes as one list.
+driver's ``build_preconditioner``, ``assemble_solution`` and
+``_finish_report``, which now takes the ``s + 1`` outcomes as one list, and
+solve each list of systems as one block through the driver's
+``_solve_block`` (``_solve_block`` here stacks the list).
 """
 
 from __future__ import annotations
@@ -38,6 +45,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.sparse import csc_matrix as _scipy_csc
@@ -592,7 +600,122 @@ def spai(a: CscMatrix, cfg: SpaiConfig | None = None,
     return m, report
 
 
+_BREAKDOWN_REL = 1e-30
+_STAGNATION_WINDOW = 30
+
+
+def bicgstab(apply_op: Callable[[np.ndarray], np.ndarray],
+             b: np.ndarray,
+             x0: Optional[np.ndarray] = None,
+             *,
+             apply_precond: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+             tol: float = 1e-8,
+             max_iter: int = 500) -> SolveOutcome:
+    """Solve A x = b, optionally as A M z = b with x = M z.
+
+    Stops when ``||b - A x|| / ||b||`` reaches ``tol`` or after
+    ``max_iter`` iterations. Inner-product breakdown (or any non-finite
+    value) ends the run with the best iterate found so far.
+    """
+    if tol <= 0.0:
+        raise ValueError("tol must be positive")
+    b = np.asarray(b, dtype=np.float64)
+    n = b.shape[0]
+    norm_b = float(np.linalg.norm(b))
+    if norm_b == 0.0:
+        return SolveOutcome(x=np.zeros(n), iterations=0, rel_residual=0.0,
+                            flag="converged")
+
+    prec = apply_precond if apply_precond is not None else (lambda v: v)
+    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
+    r = b - apply_op(x)
+    rr = float(np.linalg.norm(r)) / norm_b
+    best_x, best_rr = x.copy(), rr
+    if rr <= tol:
+        return SolveOutcome(x=x, iterations=0, rel_residual=rr, flag="converged")
+
+    r_shadow = r.copy()
+    rho = alpha = omega = 1.0
+    v = np.zeros(n)
+    p = np.zeros(n)
+    breakdown_floor = _BREAKDOWN_REL * norm_b * norm_b
+    since_improved = 0
+
+    def finish(it: int, flag: str) -> SolveOutcome:
+        return SolveOutcome(x=best_x, iterations=it, rel_residual=best_rr, flag=flag)
+
+    # A step that overflows is the breakdown the checks below detect, not a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(1, max_iter + 1):
+            rho_new = float(r_shadow @ r)
+            if not np.isfinite(rho_new) or abs(rho_new) < breakdown_floor:
+                return finish(it - 1, "breakdown")
+            beta = (rho_new / rho) * (alpha / omega)
+            p = r + beta * (p - omega * v)
+            p_hat = prec(p)
+            v = apply_op(p_hat)
+            denom = float(r_shadow @ v)
+            if not np.isfinite(denom) or abs(denom) < breakdown_floor:
+                return finish(it - 1, "breakdown")
+            alpha = rho_new / denom
+            s = r - alpha * v
+
+            x_half = x + alpha * p_hat
+            rr_half = float(np.linalg.norm(b - apply_op(x_half))) / norm_b
+            if np.isfinite(rr_half) and rr_half < best_rr * (1.0 - 1e-12):
+                best_x, best_rr = x_half.copy(), rr_half
+                since_improved = 0
+            if rr_half <= tol:
+                return SolveOutcome(x=x_half, iterations=it, rel_residual=rr_half,
+                                    flag="converged")
+
+            s_hat = prec(s)
+            t = apply_op(s_hat)
+            tt = float(t @ t)
+            if not np.isfinite(tt) or tt == 0.0:
+                return finish(it, "breakdown")
+            omega = float(t @ s) / tt
+            if not np.isfinite(omega) or abs(omega) < _BREAKDOWN_REL:
+                return finish(it, "breakdown")
+            x = x_half + omega * s_hat
+            r = s - omega * t
+
+            rr = float(np.linalg.norm(b - apply_op(x))) / norm_b
+            if not np.isfinite(rr):
+                return finish(it, "breakdown")
+            if rr < best_rr * (1.0 - 1e-12):
+                best_x, best_rr = x.copy(), rr
+                since_improved = 0
+            else:
+                since_improved += 1
+            if rr <= tol:
+                return SolveOutcome(x=x, iterations=it, rel_residual=rr, flag="converged")
+            if since_improved >= _STAGNATION_WINDOW:
+                return finish(it, "stagnation")
+            rho = rho_new
+
+    return finish(max_iter, "max_iter")
+
+
+def _solve_systems(a: CscMatrix, m: CscMatrix, rhs_list: list[np.ndarray],
+                   tols: list[float], max_iter: int,
+                   x0_list: list[np.ndarray | None] | None = None,
+                   ) -> list[SolveOutcome]:
+    apply_op = lambda v: matvec(a, v)
+    apply_m = lambda v: matvec(m, v)
+    x0_list = x0_list or [None] * len(rhs_list)
+    return [bicgstab(apply_op, rhs, x0, apply_precond=apply_m, tol=tol,
+                     max_iter=max_iter)
+            for rhs, tol, x0 in zip(rhs_list, tols, x0_list)]
+
+
 POSTHOC_ROUNDS = 8
+
+
+def _solve_block(a: CscMatrix, m: CscMatrix, rhs_list: list[np.ndarray], tols: list[float],
+                 max_iter: int, x0_list: list[np.ndarray] | None = None) -> list[SolveOutcome]:
+    x0 = None if x0_list is None else np.column_stack(x0_list)
+    return driver._solve_block(a, m, np.column_stack(rhs_list), np.array(tols), max_iter, x0)
 
 
 def _finish_report(a0, b0, x_hat, cfg, outcome_y: SolveOutcome,
@@ -619,7 +742,7 @@ def _standard_on(a0: CscMatrix, b0: np.ndarray, a_w: CscMatrix, b_w: np.ndarray,
         m, stats = driver.build_preconditioner(a_w, cfg)
     else:
         stats = driver._preconditioner_stats(cfg.method, m, a_w)
-    outcome = driver._solve_systems(a_w, m, [b_w], [cfg.epsilon], cfg.max_iter)[0]
+    outcome = _solve_block(a_w, m, [b_w], [cfg.epsilon], cfg.max_iter)[0]
     return _finish_report(a0, b0, outcome.x, cfg, outcome, [], stats, 1.0, 0, None)
 
 
@@ -653,7 +776,7 @@ def solve_irregular(a: CscMatrix, b: np.ndarray,
 
     c_now = cfg.c_fixed if cfg.c_policy == "fixed" else 1.0
     tol_y, tol_w = driver.subsystem_tolerances(cfg.epsilon, s, c_now, norm_b, norm_u)
-    outcomes = driver._solve_systems(sys.a_tilde, m, [b_w] + u_dense,
+    outcomes = _solve_block(sys.a_tilde, m, [b_w] + u_dense,
                                      [tol_y] + list(tol_w), cfg.max_iter)
     outcome_y, outcomes_w = outcomes[0], outcomes[1:]
     posthoc_c = None
@@ -689,7 +812,7 @@ def solve_irregular(a: CscMatrix, b: np.ndarray,
                 redo_tol.append(tol_w_exact[j] * 0.5)
                 redo_x0.append(outcomes_w[j].x)
                 redo_idx.append(j)
-            redone = driver._solve_systems(sys.a_tilde, m, redo_rhs, redo_tol,
+            redone = _solve_block(sys.a_tilde, m, redo_rhs, redo_tol,
                                            cfg.max_iter, x0_list=redo_x0)
             progressed = False
             for idx, out in zip(redo_idx, redone):

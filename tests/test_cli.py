@@ -162,6 +162,20 @@ class TestPrecondSolve:
         assert report["rr"] == 0.0 and report["x_hat"] == [0.0] * 12
         assert report["preconditioner_stats"]["nnz_m"] == 12
 
+    @pytest.mark.parametrize("m_shape", [(39, 39), (40, 39)])
+    @pytest.mark.parametrize("rhs", ["zero", "ones"])
+    def test_mis_sized_precond_file_exit_two(self, capsys, tmp_path, irregular_mtx,
+                                             m_shape, rhs):
+        # a zero right-hand side once took a shortcut that never looked at M
+        m_path = write_mtx(tmp_path / "m.mtx", CscMatrix.from_dense(np.eye(*m_shape)))
+        if rhs == "zero":
+            rhs = write_mtx(tmp_path / "zero.mtx", CscMatrix.empty(40, 1))
+        rc = main(["solve", irregular_mtx[0], "--rhs", rhs, "--precond-file", m_path])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"preconditioner is {m_shape[0]}x{m_shape[1]}, matrix is 40x40" in captured.err
+
     def test_solve_exit_zero_on_target(self, capsys, tmp_path, irregular_mtx):
         path, a = irregular_mtx
         rc, report = run_json(

@@ -276,6 +276,23 @@ class TestSolveIrregular:
         with pytest.raises(ValueError, match="right-hand side length mismatch"):
             solve(a, np.ones(length))
 
+    def test_one_block_solve_per_pass(self, monkeypatch):
+        # few iterations leave systems stale, so posthoc rounds re-solve them
+        a = generate_test_matrix("dominant-row", 40, planted_dense_cols=3, seed=7)
+        b = matvec(a, np.ones(40))
+        cfg = DriverConfig(factor=dense_split_factor(a), c_policy="posthoc", max_iter=4)
+        calls = []
+
+        def recording(apply_op, rhs, x0=None, **kwargs):
+            calls.append((rhs.shape, x0 is not None))
+            return bicgstab(apply_op, rhs, x0, **kwargs)
+
+        monkeypatch.setattr(driver, "bicgstab", recording)
+        rep = solve_irregular(a, b, cfg)
+        assert rep.s == 3 and len(calls) > 1
+        assert calls[0] == ((40, 4), False)
+        assert all(restarted and 1 <= shape[1] <= 4 for shape, restarted in calls[1:])
+
     def test_supplied_preconditioner_solves_a_as_stored(self):
         # rows reversed: the diagonal is zero and the standard path permutes
         a = permute_rows(generate_test_matrix("dominant-row", 30, seed=4),

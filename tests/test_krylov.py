@@ -109,17 +109,104 @@ class TestFailureModes:
             bicgstab(op(CscMatrix.identity(2)), np.ones(2), tol=0.0)
 
 
+class TestBlock:
+    def test_mixed_block_reports_per_column_flags(self):
+        # a zero column, one that cannot reach 1e-14 in 20 steps, two that converge
+        a = tridiagonal(100, diag=2.05, off=-1.0)
+        b = np.random.default_rng(0).standard_normal((100, 4))
+        b[:, 1] = 0.0
+        tol = np.array([1e-1, 1e-8, 1e-14, 1e-2])
+        out = bicgstab(op(a), b, tol=tol, max_iter=20)
+        assert [o.flag for o in out.columns] == ["converged", "converged", "max_iter",
+                                                 "converged"]
+        assert (out.flag, out.iterations) == ("max_iter", 20)
+        assert out.columns[1].iterations == 0 and not out.columns[1].x.any()
+        assert out.columns[2].iterations == 20
+        for j in (0, 2, 3):
+            got = out.columns[j]
+            true = np.linalg.norm(b[:, j] - matvec(a, got.x)) / np.linalg.norm(b[:, j])
+            assert got.rel_residual == pytest.approx(true, rel=1e-10)
+        for j in (0, 3):
+            assert 0 < out.columns[j].iterations < 20
+            assert out.columns[j].rel_residual <= tol[j]
+
+    def test_broken_column_stops_alone(self):
+        # x . A x = 0 on the skew 2x2 block, so a right-hand side there breaks
+        # down at once; one on the diagonal block converges in four steps
+        dense = np.zeros((6, 6))
+        dense[0, 1], dense[1, 0] = 1.0, -1.0
+        dense[2:, 2:] = np.diag([2.0, 3.0, 4.0, 5.0])
+        b = np.zeros((6, 2))
+        b[2:, 0] = 1.0
+        b[0, 1] = 1.0
+        out = bicgstab(op(CscMatrix.from_dense(dense)), b, tol=1e-12)
+        good, broken = out.columns
+        assert (broken.flag, broken.iterations, broken.rel_residual) == ("breakdown", 0, 1.0)
+        assert not broken.x.any()
+        assert good.flag == "converged" and good.rel_residual <= 1e-12
+        assert (out.flag, out.iterations) == ("breakdown", good.iterations)
+
+    def test_closures_may_return_their_argument(self):
+        # the solver must not write into what apply_op or apply_precond return
+        b = np.arange(1.0, 13.0).reshape(6, 2)
+        same = lambda v: v
+        out = bicgstab(same, b, apply_precond=same, tol=1e-12)
+        for j, col in enumerate(out.columns):
+            assert (col.flag, col.iterations, col.rel_residual) == ("converged", 1, 0.0)
+            assert np.array_equal(col.x, b[:, j])
+        vec = bicgstab(same, b[:, 0], apply_precond=same, tol=1e-12)
+        assert np.array_equal(vec.x, b[:, 0])
+
+    def test_identical_calls_give_identical_bytes(self):
+        a = generate_test_matrix("dominant-row", 50, seed=2)
+        m, _ = psai(a, PsaiConfig(delta=0.4))
+        rng = np.random.default_rng(2)
+        b = rng.standard_normal((50, 5))
+        x0 = rng.standard_normal((50, 5)) * np.array([0, 1, 0, 1, 1])
+        tol = np.array([1e-6, 1e-10, 1e-12, 1e-8, 1e-9])
+        runs = [bicgstab(op(a), b, x0, apply_precond=op(m), tol=tol, max_iter=50)
+                for _ in range(2)]
+        assert runs[0].iterations == runs[1].iterations
+        for u, v in zip(runs[0].columns, runs[1].columns):
+            assert (u.flag, u.iterations) == (v.flag, v.iterations)
+            assert u.x.tobytes() == v.x.tobytes()
+            assert np.float64(u.rel_residual).tobytes() == np.float64(v.rel_residual).tobytes()
+
+    def test_vector_call_is_the_one_column_block(self):
+        a = generate_test_matrix("m-matrix", 40, seed=6)
+        m, _ = psai(a, PsaiConfig(delta=0.4))
+        b = matvec(a, np.linspace(1.0, 2.0, 40))
+        vec = bicgstab(op(a), b, apply_precond=op(m), tol=1e-10)
+        block = bicgstab(op(a), b[:, None], apply_precond=op(m), tol=1e-10).columns[0]
+        assert (vec.flag, vec.iterations, vec.rel_residual) == \
+            (block.flag, block.iterations, block.rel_residual)
+        assert vec.x.tobytes() == block.x.tobytes()
+
+    def test_shape_and_tolerance_checks(self):
+        identity = op(CscMatrix.identity(3))
+        with pytest.raises(ValueError, match="x0 has shape"):
+            bicgstab(identity, np.ones((3, 2)), np.ones((3, 1)))
+        with pytest.raises(ValueError, match="tol must be positive"):
+            bicgstab(identity, np.ones((3, 2)), tol=np.array([1e-8, 0.0]))
+
+
 def test_overflowing_step_is_silent():
     # a preconditioner this poor (guard-skipped columns) overflows a step
     a = generate_test_matrix("dominant-row", 60, planted_dense_cols=0, seed=0)
     m, _ = psai(a, PsaiConfig(delta=0.05, max_workspace_bytes=3000))
     b = matvec(a, np.ones(60))
+    block = np.column_stack([b, matvec(a, np.linspace(-1.0, 1.0, 60))])
 
-    def solve(action: str):
+    def solve(action: str, rhs: np.ndarray):
         with warnings.catch_warnings():
             warnings.simplefilter(action)
-            return bicgstab(op(a), b, apply_precond=op(m), tol=1e-8, max_iter=500)
+            return bicgstab(op(a), rhs, apply_precond=op(m), tol=1e-8, max_iter=500)
 
-    quiet, strict = solve("ignore"), solve("error")
+    quiet, strict = solve("ignore", b), solve("error", b)
     assert (strict.flag, strict.iterations) == (quiet.flag, quiet.iterations)
     assert strict.x.tobytes() == quiet.x.tobytes()
+    quiet, strict = solve("ignore", block), solve("error", block)
+    assert (strict.flag, strict.iterations) == (quiet.flag, quiet.iterations)
+    for u, v in zip(strict.columns, quiet.columns):
+        assert (u.flag, u.iterations) == (v.flag, v.iterations)
+        assert u.x.tobytes() == v.x.tobytes()

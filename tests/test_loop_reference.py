@@ -4,12 +4,14 @@
 check, the per-candidate ``spai_profitability``, the
 ``bincount`` products, the per-column diagonal scans, the per-line Matrix
 Market reader, the per-column ``split``, the DFS connectivity check and
-the per-column SPAI build, and the driver's two solve paths.
-``matvec``, ``matvec_t``, the diagonal, the reader, ``split``, the
+the per-column SPAI build, the per-system BiCGStab and the driver's two
+solve paths. ``matvec``, ``matvec_t``, the diagonal, the reader, ``split``, the
 connectivity check and the one split solve path must match them exactly.
 Profitability sums its dot products in another order, so rho may differ at
 rounding level, but the candidates and the SPAI preconditioner built from
-them must not.
+them must not. The block BiCGStab judges convergence on the recursive
+residual where the loop judged it on the true one, so a column may stop
+one iteration apart, but with the same flag and a true reported residual.
 """
 
 import io
@@ -22,7 +24,7 @@ from hypothesis import strategies as st
 from scipy.sparse import csc_matrix
 
 from saikit import (CscMatrix, DegeneratePatternError, DriverConfig, MatrixMarketError, SparseVector,
-                    SpaiConfig, generate_test_matrix, ls_init, matvec, matvec_t,
+                    SpaiConfig, bicgstab, generate_test_matrix, ls_init, matvec, matvec_t,
                     permute_rows, read_matrix_market, solve_irregular, solve_standard,
                     spai_profitability, split)
 from saikit.spai import spai
@@ -455,3 +457,37 @@ def test_split_solve_matches_loop_driver(seed, method, c_policy, path, shuffle):
         assert _same(got.posthoc_c, want.posthoc_c)
     strip = lambda stats: {k: v for k, v in stats.items() if k != "t_setup"}
     assert strip(got.preconditioner_stats) == strip(want.preconditioner_stats)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seeds, st.integers(1, 6), st.sampled_from([1, 3, 500]),
+       st.sampled_from(["psai", "identity"]))
+def test_block_bicgstab_matches_per_system_loop(seed, k, max_iter, precond):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(8, 41))
+    a = generate_test_matrix(str(rng.choice(["dominant-row", "m-matrix"])), n, seed=seed)
+    m = (driver.build_preconditioner(a, DriverConfig())[0] if precond == "psai"
+         else CscMatrix.identity(n))
+    rhs = rng.standard_normal((n, k)) * (rng.random(k) < 0.85)     # some zero columns
+    x0 = rng.standard_normal((n, k)) * (rng.random(k) < 0.5)       # some zero starts
+    tols = 10.0 ** -rng.integers(3, 11, size=k).astype(float)
+    got = bicgstab(lambda x: matvec(a, x), rhs, x0, apply_precond=lambda x: matvec(m, x),
+                   tol=tols, max_iter=max_iter)
+    want = loop_reference._solve_systems(a, m, list(rhs.T.copy()), list(tols), max_iter,
+                                         x0_list=list(x0.T.copy()))
+    assert len(got.columns) == k
+    for j, (g, w) in enumerate(zip(got.columns, want)):
+        assert g.flag == w.flag, j
+        assert abs(g.iterations - w.iterations) <= 1, j
+        norm_b = np.linalg.norm(rhs[:, j])
+        if norm_b == 0.0:
+            assert (g.iterations, g.rel_residual) == (0, 0.0) and not g.x.any()
+            continue
+        true = np.linalg.norm(rhs[:, j] - matvec(a, g.x)) / norm_b
+        assert g.rel_residual == pytest.approx(true, rel=1e-10), j
+        if g.flag == "converged":
+            assert g.rel_residual <= tols[j]
+    flags = [g.flag for g in got.columns]
+    assert got.flag == next((f for f in flags if f != "converged"), "converged")
+    most = max(g.iterations for g in got.columns)
+    assert got.iterations == most if got.flag == "converged" else got.iterations >= most

@@ -268,6 +268,23 @@ class TestMatvec:
         scale = max(1.0, float(np.linalg.norm(ref)))
         assert np.linalg.norm(y - ref) <= 1e-13 * scale
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 7), st.booleans())
+    def test_block_equals_per_vector_bit_for_bit(self, seed, k, fortran):
+        rng = np.random.default_rng(seed)
+        m, n = (int(d) for d in rng.integers(1, 40, size=2))
+        a = CscMatrix.from_dense(rng.standard_normal((m, n)) * (rng.random((m, n)) < 0.3))
+        x = rng.standard_normal((n, k))
+        y = matvec(a, np.asfortranarray(x) if fortran else x)
+        assert y.shape == (m, k)
+        for j in range(k):
+            assert y[:, j].tobytes() == matvec(a, x[:, j].copy()).tobytes()
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 4), (3, 2, 1)])
+    def test_block_dim_mismatch(self, shape):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            matvec(CscMatrix.identity(3), np.ones(shape))
+
     def test_transpose_matvec(self):
         rng = np.random.default_rng(5)
         dense = rng.standard_normal((6, 4)) * (rng.random((6, 4)) < 0.5)
