@@ -256,7 +256,8 @@ def _zero_rhs_report(a: CscMatrix, cfg: DriverConfig,
 
 
 def _checked_rhs(a: CscMatrix, b: np.ndarray) -> np.ndarray:
-    """``b`` as a float vector, checked against a square ``a``."""
+    """``b`` as a float vector, checked against a square ``a``; a nonzero ``b``
+    needs a 2-norm that is neither 0 nor inf, to judge residuals against."""
     if a.n_rows != a.n_cols:
         raise ValueError("square matrix required")
     b = np.asarray(b, dtype=np.float64)
@@ -264,6 +265,10 @@ def _checked_rhs(a: CscMatrix, b: np.ndarray) -> np.ndarray:
         raise ValueError("right-hand side length mismatch")
     if not np.all(np.isfinite(b)):
         raise ValueError("right-hand side must be finite")
+    with np.errstate(over="ignore"):
+        norm_b = np.linalg.norm(b)
+    if b.any() and not 0.0 < norm_b < np.inf:
+        raise ValueError(f"right-hand side norm is {norm_b} in float64; rescale A and b")
     return b
 
 
@@ -282,7 +287,7 @@ def solve_standard(a: CscMatrix, b: np.ndarray, cfg: DriverConfig | None = None,
     if m is not None and (m.n_rows, m.n_cols) != (a.n_rows, a.n_cols):
         raise ValueError(f"preconditioner is {m.n_rows}x{m.n_cols}, "
                          f"matrix is {a.n_rows}x{a.n_cols}")
-    if np.linalg.norm(b) == 0.0:
+    if not b.any():
         return _zero_rhs_report(a, cfg, m)
     a_w, b_w = (a, b) if m is not None else _apply_preprocess(a, b, cfg.preprocess)
     return _solve_split(a, b, a_w, b_w, CscMatrix.empty(a.n_rows, 0),
@@ -300,7 +305,7 @@ def solve_irregular(a: CscMatrix, b: np.ndarray,
     """
     cfg = cfg or DriverConfig()
     b = _checked_rhs(a, b)
-    if np.linalg.norm(b) == 0.0:
+    if not b.any():
         return _zero_rhs_report(a, cfg)
     a_w, b_w = _apply_preprocess(a, b, cfg.preprocess)
     sys = split(a_w, factor=cfg.factor, strategy=cfg.strategy, p_kept=cfg.p_kept)

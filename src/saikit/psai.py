@@ -77,9 +77,10 @@ class PsaiReport(_Report):
                              tol_history=self._by_column(self.tols))
 
 
-def psai_tol(delta: float, nnz_mk: int, a_norm1: float) -> float:
-    """Adaptive drop tolerance delta / (nnz(m_k) * ||A||_1)."""
-    if nnz_mk < 1:
+def psai_tol(delta: float, nnz_mk: int | np.ndarray,
+             a_norm1: float) -> float | np.ndarray:
+    """Adaptive drop tolerance delta / (nnz(m_k) * ||A||_1), of one column or of each."""
+    if np.any(np.asarray(nnz_mk) < 1):
         raise ValueError("nnz_mk must be at least 1")
     if a_norm1 <= 0.0:
         raise ValueError("matrix 1-norm must be positive")
@@ -127,9 +128,10 @@ def _lockstep(a: CscMatrix, ks: np.ndarray, cfg: PsaiConfig, a_norm1: float,
         nnz = np.bincount(owner[coeffs != 0.0], minlength=n_t)
         at = np.flatnonzero(active & (nnz > 0))
         tol = np.full(n_t, -1.0)        # below every magnitude: nothing is dropped
-        # psai_tol of every column at once, in the same floating-point operations
-        tol[at] = (cfg.delta / (nnz[at] * a_norm1) if cfg.tol_policy == "adaptive"
-                   else float(cfg.tol_policy))
+        if cfg.tol_policy != "adaptive":
+            tol[at] = float(cfg.tol_policy)
+        elif len(at):                   # an all-zero A, of 1-norm 0, has none
+            tol[at] = psai_tol(cfg.delta, nnz[at], a_norm1)
         tols.append((at, tol[at]))
         mags = np.abs(coeffs)
         doomed = (mags <= tol[owner]) & (cols != ks[owner])

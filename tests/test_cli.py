@@ -176,6 +176,17 @@ class TestPrecondSolve:
         assert captured.out == ""
         assert f"preconditioner is {m_shape[0]}x{m_shape[1]}, matrix is 40x40" in captured.err
 
+    @pytest.mark.parametrize("scale", [1e-165, 1e160])
+    def test_rhs_norm_out_of_range_exit_two(self, capsys, tmp_path, irregular_mtx, scale):
+        # b = A 1 is nonzero, but ||b||^2 under- or overflows in float64
+        a = irregular_mtx[1]
+        scaled = CscMatrix(a.n_rows, a.n_cols, a.col_ptr, a.row_idx, a.values * scale)
+        rc = main(["solve", write_mtx(tmp_path / "scaled.mtx", scaled)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "right-hand side norm is" in captured.err
+
     def test_solve_exit_zero_on_target(self, capsys, tmp_path, irregular_mtx):
         path, a = irregular_mtx
         rc, report = run_json(

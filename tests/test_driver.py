@@ -276,6 +276,20 @@ class TestSolveIrregular:
         with pytest.raises(ValueError, match="right-hand side length mismatch"):
             solve(a, np.ones(length))
 
+    @pytest.mark.parametrize("solve", [solve_irregular, solve_standard])
+    @pytest.mark.parametrize("scale", [1e-165, 1e160])
+    def test_rhs_norm_out_of_range_rejected_before_any_work(self, solve, scale, monkeypatch):
+        # ||b||^2 under- or overflows though b is nonzero: once answered by x = 0
+        a = generate_test_matrix("dominant-row", 30, seed=4)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("b must be checked before any build or permutation")
+
+        for name in ("spai", "psai", "zero_free_diagonal_permutation", "bicgstab"):
+            monkeypatch.setattr(driver, name, forbidden)
+        with pytest.raises(ValueError, match="right-hand side norm is (0.0|inf)"):
+            solve(a, matvec(a, np.ones(30)) * scale)
+
     def test_one_block_solve_per_pass(self, monkeypatch):
         # few iterations leave systems stale, so posthoc rounds re-solve them
         a = generate_test_matrix("dominant-row", 40, planted_dense_cols=3, seed=7)
@@ -300,8 +314,8 @@ class TestSolveIrregular:
         b = matvec(a, np.ones(30))
         cfg = DriverConfig(max_iter=5)
         rep = solve_standard(a, b, cfg, m=CscMatrix.identity(30))
-        direct = bicgstab(lambda v: matvec(a, v), b, None, apply_precond=lambda v: v,
-                          tol=cfg.epsilon, max_iter=cfg.max_iter)
+        direct = bicgstab(lambda v: matvec(a, v), b[:, None], None, apply_precond=lambda v: v,
+                          tol=cfg.epsilon, max_iter=cfg.max_iter).columns[0]
         assert np.array_equal(rep.x_hat, direct.x)
         assert rep.rr == pytest.approx(
             np.linalg.norm(b - matvec(a, rep.x_hat)) / np.linalg.norm(b), rel=1e-12)

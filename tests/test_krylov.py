@@ -14,7 +14,8 @@ def op(a: CscMatrix):
 
 class TestBasic:
     def test_identity_single_iteration(self):
-        out = bicgstab(op(CscMatrix.identity(6)), np.arange(1.0, 7.0), tol=1e-10)
+        out = bicgstab(op(CscMatrix.identity(6)), np.arange(1.0, 7.0)[:, None],
+                       tol=1e-10).columns[0]
         assert out.flag == "converged"
         assert out.iterations <= 1
         assert np.allclose(out.x, np.arange(1.0, 7.0), atol=1e-12)
@@ -22,12 +23,12 @@ class TestBasic:
     def test_diagonal_closed_form(self):
         d = np.arange(1.0, 11.0)
         a = CscMatrix.from_dense(np.diag(d))
-        out = bicgstab(op(a), np.ones(10), tol=1e-12)
+        out = bicgstab(op(a), np.ones((10, 1)), tol=1e-12).columns[0]
         assert out.flag == "converged"
         assert np.max(np.abs(out.x - 1.0 / d)) <= 1e-10
 
     def test_zero_rhs(self):
-        out = bicgstab(op(CscMatrix.identity(4)), np.zeros(4), tol=1e-8)
+        out = bicgstab(op(CscMatrix.identity(4)), np.zeros((4, 1)), tol=1e-8).columns[0]
         assert out.flag == "converged"
         assert out.iterations == 0
         assert np.array_equal(out.x, np.zeros(4))
@@ -37,7 +38,7 @@ class TestBasic:
         dense = rng.standard_normal((12, 12)) + 12 * np.eye(12)
         a = CscMatrix.from_dense(dense)
         b = rng.standard_normal(12)
-        out = bicgstab(op(a), b, tol=1e-6, max_iter=100)
+        out = bicgstab(op(a), b[:, None], tol=1e-6, max_iter=100).columns[0]
         recomputed = np.linalg.norm(b - dense @ out.x) / np.linalg.norm(b)
         assert out.rel_residual == pytest.approx(recomputed, rel=1e-10)
 
@@ -46,8 +47,8 @@ class TestBasic:
         dense = rng.standard_normal((15, 15)) + 15 * np.eye(15)
         a = CscMatrix.from_dense(dense)
         b = rng.standard_normal(15)
-        out1 = bicgstab(op(a), b, tol=1e-10)
-        out2 = bicgstab(op(a), b, tol=1e-10)
+        out1 = bicgstab(op(a), b[:, None], tol=1e-10).columns[0]
+        out2 = bicgstab(op(a), b[:, None], tol=1e-10).columns[0]
         assert np.array_equal(out1.x, out2.x)
         assert out1.iterations == out2.iterations
 
@@ -59,7 +60,7 @@ class TestPreconditioning:
         a = CscMatrix.from_dense(dense)
         inv = np.linalg.inv(dense)
         b = rng.standard_normal(10)
-        out = bicgstab(op(a), b, apply_precond=lambda v: inv @ v, tol=1e-10)
+        out = bicgstab(op(a), b[:, None], apply_precond=lambda v: inv @ v, tol=1e-10).columns[0]
         assert out.flag == "converged"
         assert out.iterations <= 2
 
@@ -67,9 +68,10 @@ class TestPreconditioning:
         n = 50
         a = tridiagonal(n, diag=2.05, off=-1.0)
         b = matvec(a, np.ones(n))
-        plain = bicgstab(op(a), b, tol=1e-8, max_iter=500)
+        plain = bicgstab(op(a), b[:, None], tol=1e-8, max_iter=500).columns[0]
         m, _ = psai(a, PsaiConfig(delta=0.4))
-        prec = bicgstab(op(a), b, apply_precond=op(m), tol=1e-8, max_iter=500)
+        prec = bicgstab(op(a), b[:, None], apply_precond=op(m), tol=1e-8,
+                        max_iter=500).columns[0]
         assert prec.flag == "converged"
         assert prec.iterations < plain.iterations
 
@@ -79,7 +81,7 @@ class TestPreconditioning:
         a = CscMatrix.from_dense(dense)
         m = np.diag(1.0 / np.diag(dense))
         b = rng.standard_normal(8)
-        out = bicgstab(op(a), b, apply_precond=lambda v: m @ v, tol=1e-9)
+        out = bicgstab(op(a), b[:, None], apply_precond=lambda v: m @ v, tol=1e-9).columns[0]
         assert np.linalg.norm(b - dense @ out.x) / np.linalg.norm(b) <= 1e-9
 
 
@@ -90,7 +92,7 @@ class TestFailureModes:
             out[0] = np.nan
             return out
 
-        out = bicgstab(bad, np.ones(3), tol=1e-8, max_iter=10)
+        out = bicgstab(bad, np.ones((3, 1)), tol=1e-8, max_iter=10).columns[0]
         assert out.flag == "breakdown"
         assert np.all(np.isfinite(out.x))
 
@@ -100,13 +102,13 @@ class TestFailureModes:
         dense = rng.standard_normal((40, 40))
         a = CscMatrix.from_dense(dense)
         b = rng.standard_normal(40)
-        out = bicgstab(op(a), b, tol=1e-14, max_iter=3)
+        out = bicgstab(op(a), b[:, None], tol=1e-14, max_iter=3).columns[0]
         assert out.flag in ("max_iter", "breakdown", "stagnation")
         assert out.iterations <= 3
 
     def test_invalid_tol(self):
         with pytest.raises(ValueError):
-            bicgstab(op(CscMatrix.identity(2)), np.ones(2), tol=0.0)
+            bicgstab(op(CscMatrix.identity(2)), np.ones((2, 1)), tol=0.0)
 
 
 class TestBlock:
@@ -154,7 +156,7 @@ class TestBlock:
         for j, col in enumerate(out.columns):
             assert (col.flag, col.iterations, col.rel_residual) == ("converged", 1, 0.0)
             assert np.array_equal(col.x, b[:, j])
-        vec = bicgstab(same, b[:, 0], apply_precond=same, tol=1e-12)
+        vec = bicgstab(same, b[:, :1], apply_precond=same, tol=1e-12).columns[0]
         assert np.array_equal(vec.x, b[:, 0])
 
     def test_identical_calls_give_identical_bytes(self):
@@ -172,18 +174,33 @@ class TestBlock:
             assert u.x.tobytes() == v.x.tobytes()
             assert np.float64(u.rel_residual).tobytes() == np.float64(v.rel_residual).tobytes()
 
-    def test_vector_call_is_the_one_column_block(self):
-        a = generate_test_matrix("m-matrix", 40, seed=6)
-        m, _ = psai(a, PsaiConfig(delta=0.4))
-        b = matvec(a, np.linspace(1.0, 2.0, 40))
-        vec = bicgstab(op(a), b, apply_precond=op(m), tol=1e-10)
-        block = bicgstab(op(a), b[:, None], apply_precond=op(m), tol=1e-10).columns[0]
-        assert (vec.flag, vec.iterations, vec.rel_residual) == \
-            (block.flag, block.iterations, block.rel_residual)
-        assert vec.x.tobytes() == block.x.tobytes()
+    def test_zero_block_makes_no_product(self):
+        calls = []
+
+        def counting(x):
+            calls.append(x.shape)
+            return x
+
+        out = bicgstab(counting, np.zeros((5, 3)), tol=1e-8)
+        assert calls == [] and out.iterations == 0 and out.flag == "converged"
+        assert all(not col.x.any() and col.rel_residual == 0.0 for col in out.columns)
+
+    @pytest.mark.parametrize("scale", [1e-165, 1e160])
+    def test_column_whose_norm_under_or_overflows_is_not_converged(self, scale):
+        # ||b||^2 is 0 or inf in float64 though b is nonzero: no relative
+        # residual can be judged, so the column breaks down; the other converges
+        a = tridiagonal(20, diag=3.0, off=-1.0)
+        b = np.ones((20, 2))
+        b[:, 1] *= scale
+        out = bicgstab(op(a), b, tol=1e-10)
+        good, bad = out.columns
+        assert bad.flag == "breakdown" and bad.iterations <= 1
+        assert good.flag == "converged" and good.rel_residual <= 1e-10
 
     def test_shape_and_tolerance_checks(self):
         identity = op(CscMatrix.identity(3))
+        with pytest.raises(ValueError, match=r"\(n, k\) block, got shape \(3,\)"):
+            bicgstab(identity, np.ones(3))
         with pytest.raises(ValueError, match="x0 has shape"):
             bicgstab(identity, np.ones((3, 2)), np.ones((3, 1)))
         with pytest.raises(ValueError, match="tol must be positive"):
@@ -202,7 +219,8 @@ def test_overflowing_step_is_silent():
             warnings.simplefilter(action)
             return bicgstab(op(a), rhs, apply_precond=op(m), tol=1e-8, max_iter=500)
 
-    quiet, strict = solve("ignore", b), solve("error", b)
+    quiet, strict = solve("ignore", b[:, None]), solve("error", b[:, None])
+    quiet, strict = quiet.columns[0], strict.columns[0]
     assert (strict.flag, strict.iterations) == (quiet.flag, quiet.iterations)
     assert strict.x.tobytes() == quiet.x.tobytes()
     quiet, strict = solve("ignore", block), solve("error", block)

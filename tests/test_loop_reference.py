@@ -12,6 +12,7 @@ rounding level, but the candidates and the SPAI preconditioner built from
 them must not. The block BiCGStab judges convergence on the recursive
 residual where the loop judged it on the true one, so a column may stop
 one iteration apart, but with the same flag and a true reported residual.
+The one-exit block BiCGStab must match the first block solver byte for byte.
 """
 
 import io
@@ -491,3 +492,39 @@ def test_block_bicgstab_matches_per_system_loop(seed, k, max_iter, precond):
     assert got.flag == next((f for f in flags if f != "converged"), "converged")
     most = max(g.iterations for g in got.columns)
     assert got.iterations == most if got.flag == "converged" else got.iterations >= most
+
+
+@settings(max_examples=200, deadline=None)
+@given(seeds, st.integers(1, 6), st.sampled_from([1, 3, 500]),
+       st.sampled_from(["dominant-row", "m-matrix", "singular", "skew"]),
+       st.sampled_from(["psai", "identity"]))
+def test_one_exit_bicgstab_matches_block_reference(seed, k, max_iter, kind, precond):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(8, 41))
+    if kind == "skew":                   # recurrence scalars vanish: breakdowns mid-solve
+        dense = rng.standard_normal((n, n))
+        a = CscMatrix.from_dense(dense - dense.T)
+    else:
+        a = generate_test_matrix("dominant-row" if kind == "singular" else kind, n, seed=seed)
+        if kind == "singular":           # a zero column and row: A is singular
+            dense = a.to_dense()
+            dense[:, 0] = dense[0, :] = 0.0
+            a = CscMatrix.from_dense(dense)
+    m = (driver.build_preconditioner(a, DriverConfig())[0] if precond == "psai"
+         else CscMatrix.identity(n))
+    rhs = rng.standard_normal((n, k)) * (rng.random(k) < 0.8)      # some zero columns
+    x0 = rng.standard_normal((n, k)) * (rng.random(k) < 0.6)       # some zero starts
+    start = rng.random(k) < 0.25                                   # starts that meet tol
+    rhs[:, start] = matvec(a, x0[:, start])
+    tols = 10.0 ** -rng.integers(1, 12, size=k).astype(float)
+    if rng.random() < 0.3:
+        x0 = None
+    args = (lambda x: matvec(a, x), rhs, x0)
+    kwargs = dict(apply_precond=lambda x: matvec(m, x), tol=tols, max_iter=max_iter)
+    got, want = bicgstab(*args, **kwargs), loop_reference.block_bicgstab(*args, **kwargs)
+    assert (got.iterations, got.flag) == (want.iterations, want.flag)
+    assert len(got.columns) == len(want.columns) == k
+    for j, (g, w) in enumerate(zip(got.columns, want.columns)):
+        assert (g.flag, g.iterations) == (w.flag, w.iterations), j
+        assert g.x.tobytes() == w.x.tobytes(), j
+        assert np.float64(g.rel_residual).tobytes() == np.float64(w.rel_residual).tobytes(), j

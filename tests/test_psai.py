@@ -32,6 +32,18 @@ class TestTol:
             psai_tol(0.4, 0, 1.0)
         with pytest.raises(ValueError):
             psai_tol(0.4, 1, 0.0)
+        with pytest.raises(ValueError):
+            psai_tol(0.4, np.array([3, 0, 2]), 1.0)
+
+    def test_array_call_is_the_scalar_calls(self):
+        nnz = np.array([1, 2, 3, 7, 40, 1000])
+        got = psai_tol(0.1, nnz, 3.7)
+        want = [psai_tol(0.1, int(k), 3.7) for k in nnz]
+        assert [np.float64(t).tobytes() for t in got] == [np.float64(t).tobytes() for t in want]
+
+    def test_all_zero_matrix_fails_every_column(self):
+        m, report = psai(CscMatrix.empty(4, 4))
+        assert len(report.errors) == 4 and m.nnz == 0
 
 
 class TestConfig:
