@@ -119,6 +119,11 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _stamped(fields: dict, args) -> dict:
+    """The report: ``fields`` with the schema version and the input path."""
+    return {**fields, "schema_version": SCHEMA_VERSION, "input": args.input}
+
+
 def _emit(payload: dict, args) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True)
     print(text)
@@ -170,12 +175,9 @@ def _load_rhs(a: CscMatrix, spec: str) -> np.ndarray:
     return vec.to_dense()[:, 0]
 
 
-def cmd_analyze(args) -> int:
-    a = read_matrix_market(args.input)
+def cmd_analyze(args, a: CscMatrix) -> tuple[dict, int]:
     stats = column_stats(a, args.factor)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "input": args.input,
+    fields = {
         "n": a.n_rows,
         "nnz": a.nnz,
         "p": stats.p,
@@ -185,29 +187,24 @@ def cmd_analyze(args) -> int:
     }
     if a.n_rows == a.n_cols:
         rep = classify(a)
-        payload.update({
+        fields.update({
             "strict_row_dd": rep.strict_row_dd,
             "strict_col_dd": rep.strict_col_dd,
             "irreducible": rep.irreducible,
             "m_matrix": rep.m_matrix,
             "m_matrix_certified": rep.m_matrix_certified,
         })
-        if a.n_rows <= args.cond_max_n:
-            payload.update(condition_estimates(a, max_n=args.cond_max_n))
-    _emit(payload, args)
-    return EXIT_OK
+    fields.update(condition_estimates(a, max_n=args.cond_max_n))
+    return fields, EXIT_OK
 
 
-def cmd_split(args) -> int:
-    a = read_matrix_market(args.input)
+def cmd_split(args, a: CscMatrix) -> tuple[dict, int]:
     sys_ = split(a, factor=args.factor, strategy=args.strategy, p_kept=args.p_kept)
     a_tilde_path = f"{args.prefix}_a_tilde.mtx"
     u_path = f"{args.prefix}_u.mtx"
     write_matrix_market(sys_.a_tilde, a_tilde_path)
     write_matrix_market(sys_.u, u_path)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "input": args.input,
+    fields = {
         "s": sys_.s,
         "irregular_cols": [int(j) for j in sys_.irregular_cols],
         "strategy": sys_.strategy,
@@ -217,31 +214,19 @@ def cmd_split(args) -> int:
         "a_tilde_file": a_tilde_path,
         "u_file": u_path,
     }
-    sidecar = f"{args.prefix}_split.json"
-    with open(sidecar, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-    _emit(payload, args)
-    return EXIT_OK
+    with open(f"{args.prefix}_split.json", "w") as fh:
+        json.dump(_stamped(fields, args), fh, indent=2, sort_keys=True)
+    return fields, EXIT_OK
 
 
-def cmd_precond(args) -> int:
-    a = read_matrix_market(args.input)
+def cmd_precond(args, a: CscMatrix) -> tuple[dict, int]:
     cfg = _driver.DriverConfig(**_method_fields(args, args.method))
     m, stats = _driver.build_preconditioner(a, cfg)
     write_matrix_market(m, args.matrix_out)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "input": args.input,
-        "method": args.method,
-        "matrix_out": args.matrix_out,
-    }
-    payload.update(stats)
-    _emit(payload, args)
-    return EXIT_OK
+    return {"method": args.method, "matrix_out": args.matrix_out, **stats}, EXIT_OK
 
 
-def cmd_solve(args) -> int:
-    a = read_matrix_market(args.input)
+def cmd_solve(args, a: CscMatrix) -> tuple[dict, int]:
     b = _load_rhs(a, args.rhs)
     cfg = _driver_config(args, args.method)
     if args.precond_file:
@@ -249,20 +234,17 @@ def cmd_solve(args) -> int:
         report = _driver.solve_standard(a, b, cfg, m=m)
     else:
         report = _driver.solve_irregular(a, b, cfg)
-    payload = report.to_dict()
-    payload["seed"] = args.seed
-    payload["input"] = args.input
+    fields = report.to_dict()
+    fields["seed"] = args.seed
     if args.precond_file:
-        payload["precond_file"] = args.precond_file
-    _emit(payload, args)
-    return EXIT_OK if report.a < 1.0 else EXIT_NOT_CONVERGED
+        fields["precond_file"] = args.precond_file
+    return fields, EXIT_OK if report.a < 1.0 else EXIT_NOT_CONVERGED
 
 
 _VARIANTS = ("S-SPAI", "N-SPAI", "S-PSAI", "N-PSAI")
 
 
-def cmd_bench(args) -> int:
-    a = read_matrix_market(args.input)
+def cmd_bench(args, a: CscMatrix) -> tuple[dict, int]:
     b = _load_rhs(a, args.rhs)
     wanted = [v.strip().upper() for v in args.variants.split(",") if v.strip()]
     bad = [v for v in wanted if v not in _VARIANTS]
@@ -289,13 +271,9 @@ def cmd_bench(args) -> int:
             row.update(T_setup=stats["t_setup"], T_solve=elapsed - stats["t_setup"],
                        iter=report.max_iter_used, a=report.a)
         rows.append(row)
-    payload = {"schema_version": SCHEMA_VERSION, "input": args.input,
-               "seed": args.seed, "rows": rows}
-    _emit(payload, args)
-    ok_rows = [r for r in rows if r["status"] == "ok"]
-    if not ok_rows:
-        return EXIT_NUMERICAL
-    return EXIT_OK if all(r["a"] < 1.0 for r in ok_rows) else EXIT_NOT_CONVERGED
+    met = [r["a"] < 1.0 for r in rows if r["status"] == "ok"]
+    code = EXIT_NUMERICAL if not met else EXIT_OK if all(met) else EXIT_NOT_CONVERGED
+    return {"seed": args.seed, "rows": rows}, code
 
 
 COMMANDS = {
@@ -314,7 +292,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
     try:
-        return COMMANDS[args.command](args)
+        fields, code = COMMANDS[args.command](args, read_matrix_market(args.input))
+        _emit(_stamped(fields, args), args)
+        return code
     except (StructurallySingularError, _driver.SingularUpdateError,
             _driver.AssemblyError, DegeneratePatternError,
             WorkspaceGuardError, np.linalg.LinAlgError) as exc:

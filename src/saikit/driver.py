@@ -165,8 +165,8 @@ def subsystem_tolerances(epsilon: float, s: int, c: float, norm_b: float,
     epsilon * ||b|| / (2 sqrt(s) c ||u_j||). With s == 0 the correction
     budget is empty.
     """
-    if norm_b <= 0.0:
-        raise ValueError("norm_b must be positive")
+    if not 0.0 < norm_b < np.inf:
+        raise ValueError("norm_b must be finite and positive")
     if c <= 0.0:
         raise ValueError("c must be positive")
     if s < 0:
@@ -175,36 +175,29 @@ def subsystem_tolerances(epsilon: float, s: int, c: float, norm_b: float,
     if s == 0:
         return tol_y, np.empty(0)
     norm_u = np.asarray(norm_u, dtype=np.float64)
-    if norm_u.shape != (s,) or np.any(norm_u <= 0.0):
-        raise ValueError("norm_u must hold s positive norms")
+    if norm_u.shape != (s,) or not np.all((0.0 < norm_u) & (norm_u < np.inf)):
+        raise ValueError("norm_u must hold s finite positive norms")
     tol_w = epsilon * norm_b / (2.0 * np.sqrt(s) * c * norm_u)
     return tol_y, tol_w
 
 
 def _preconditioner_stats(method: str, m: CscMatrix | None, a: CscMatrix,
-                         t_setup: float = 0.0, guard_hits: int = 0,
-                         **quality: int) -> dict:
-    """Report stats of M for ``a``, same keys on every path; build-only counts default to 0."""
+                         rep=None, t_setup: float = 0.0) -> dict:
+    """Report stats of M for ``a``, same keys on every path; the build counts are
+    read from the build report ``rep``, and are 0 without one (a supplied M, a zero b)."""
     keys = ("n_c", "max_candidates") if method == "spai" else ("l_m", "n_failed")
     nnz_m = m.nnz if m is not None else 0
-    stats = {"nnz_m": nnz_m, "spar": nnz_m / max(a.nnz, 1), "t_setup": t_setup,
-             "guard_hits": guard_hits}
-    stats.update({k: quality.get(k, 0) for k in keys})
+    stats = {"nnz_m": nnz_m, "spar": nnz_m / max(a.nnz, 1), "t_setup": t_setup}
+    stats.update({k: getattr(rep, k, 0) for k in ("guard_hits", *keys)})
     return stats
 
 
 def build_preconditioner(a: CscMatrix, cfg: DriverConfig) -> tuple[CscMatrix, dict]:
     """Build M for ``a`` with ``cfg.method``; returns M and its report stats."""
     t0 = time.perf_counter()
-    if cfg.method == "spai":
-        m, rep = spai(a, cfg.spai, threads=cfg.threads)
-        quality = {"n_c": rep.n_c, "max_candidates": rep.max_candidates}
-    else:
-        m, rep = psai(a, cfg.psai, threads=cfg.threads)
-        quality = {"l_m": rep.l_m, "n_failed": len(rep.errors)}
-    guard_hits = sum(1 for _, msg in rep.errors if "WorkspaceGuardError" in msg)
-    setup = time.perf_counter() - t0
-    return m, _preconditioner_stats(cfg.method, m, a, setup, guard_hits, **quality)
+    m, rep = (spai if cfg.method == "spai" else psai)(a, getattr(cfg, cfg.method),
+                                                      threads=cfg.threads)
+    return m, _preconditioner_stats(cfg.method, m, a, rep, time.perf_counter() - t0)
 
 
 def _solve_block(a: CscMatrix, m: CscMatrix, rhs: np.ndarray, tols: np.ndarray,
@@ -324,6 +317,12 @@ def _solve_split(a0: CscMatrix, b0: np.ndarray, a_tilde: CscMatrix, b_w: np.ndar
     the systems whose residuals miss the targets that the current estimate
     of c sets.
     """
+    with np.errstate(over="ignore"):
+        for j, col in enumerate(irregular_cols):
+            norm = np.linalg.norm(u.col(j)[1])
+            if not 0.0 < norm < np.inf:
+                raise ValueError(f"split-off part of column {col} has norm {norm} in float64; "
+                                 "rescale A and b")
     if m is None:
         m, stats = build_preconditioner(a_tilde, cfg)
     else:

@@ -70,6 +70,10 @@ class PsaiReport(_Report):
     def l_m(self) -> int:
         return int(self.loops.max(initial=0))
 
+    @property
+    def n_failed(self) -> int:
+        return len(self.errors)
+
     @cached_property
     def columns(self) -> list[PsaiColumnResult]:
         drops = self._by_column(self.drops)

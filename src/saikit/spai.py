@@ -23,7 +23,7 @@ from operator import itemgetter
 import numpy as np
 from scipy.sparse import csc_matrix as _scipy_csc
 
-from .lstsq import ls_init
+from .lstsq import WorkspaceGuardError, ls_init
 from .sparse_core import CscMatrix, SparseVector, key_parts, member, owners, pointers
 
 # Columns per lockstep batch at most: a batch holds the subproblems of all
@@ -89,6 +89,7 @@ class _Report:
     residuals: np.ndarray
     loops: np.ndarray
     errors: list[tuple[int, str]]
+    guard_hits: int     # failures that are workspace guard trips
 
     def _by_column(self, record: tuple) -> list[list]:
         """Each column's values of the record's one field, or tuples of several, in order."""
@@ -290,6 +291,7 @@ def _build_columns(a: CscMatrix, threads: int, lockstep, k: int | None = None) -
     residuals[failed], loops[failed] = 1.0, 0
     return dict(m=CscMatrix.from_coo(a.n_rows, n, rows, owner, coeffs), residuals=residuals,
                 loops=loops, errors=[(j, f"{type(exc).__name__}: {exc}") for j, exc in failures],
+                guard_hits=sum(isinstance(exc, WorkspaceGuardError) for _, exc in failures),
                 **records)
 
 

@@ -317,7 +317,8 @@ def matvec(a: CscMatrix, x) -> np.ndarray:
     """y = A x with a fixed column-major accumulation order.
 
     ``x`` is a vector or an ``(n_cols, k)`` block; each column of a block
-    gets the bits it would get alone. A C-order block is read without a copy.
+    gets the bits it would get alone. scipy reads a C-order block without a
+    copy and copies an F-order one.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim not in (1, 2) or x.shape[0] != a.n_cols:

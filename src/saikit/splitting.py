@@ -196,25 +196,16 @@ def dominance_margins(a: CscMatrix, a_tilde: CscMatrix,
     return beta, beta_tilde, 1.0 / float(beta.min()), 1.0 / float(beta_tilde.min())
 
 
-def condition_estimates(a: CscMatrix, a_tilde: CscMatrix | None = None,
-                        max_n: int = 500) -> dict:
-    """Dense 1-norm condition estimates, for matrices up to ``max_n`` only."""
-    out: dict = {}
+def condition_estimates(a: CscMatrix, max_n: int = 500) -> dict:
+    """Dense 1-norm condition estimate ``kappa_1`` (None if singular), up to ``max_n`` only."""
     if a.n_rows != a.n_cols or a.n_rows > max_n:
-        return out
-
-    def kappa(mat: CscMatrix) -> float | None:
-        dense = mat.to_dense()
-        try:
-            inv = np.linalg.inv(dense)
-        except np.linalg.LinAlgError:
-            return None
-        return float(np.abs(dense).sum(axis=0).max() * np.abs(inv).sum(axis=0).max())
-
-    out["kappa_1"] = kappa(a)
-    if a_tilde is not None:
-        out["kappa_1_tilde"] = kappa(a_tilde)
-    return out
+        return {}
+    dense = a.to_dense()
+    try:
+        inv = np.linalg.inv(dense)
+    except np.linalg.LinAlgError:
+        return {"kappa_1": None}
+    return {"kappa_1": float(np.abs(dense).sum(axis=0).max() * np.abs(inv).sum(axis=0).max())}
 
 
 def dense_lu_min_pivot(a: CscMatrix) -> float:

@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from saikit import (CscMatrix, generate_test_matrix, read_matrix_market,
+from saikit import (CscMatrix, DriverConfig, PsaiConfig, SpaiConfig, cli, driver,
+                    generate_test_matrix, matvec, read_matrix_market, solve_irregular,
                     write_matrix_market)
-from saikit.cli import main
+from saikit.cli import DEFAULT_MEM_GUARD, main
+from saikit.driver import SCHEMA_VERSION
 from .conftest import dense_split_factor, tridiagonal, with_dense_column
 
 
@@ -63,6 +65,12 @@ class TestAnalyze:
         assert main(["analyze", identity_mtx, "--factor", factor]) == 2
         assert capsys.readouterr().out == ""
 
+    def test_cond_max_n_below_n_reports_no_kappa(self, capsys, identity_mtx):
+        _, payload = run_json(capsys, ["analyze", identity_mtx, "--cond-max-n", "11"])
+        assert "kappa_1" not in payload
+        _, payload = run_json(capsys, ["analyze", identity_mtx, "--cond-max-n", "12"])
+        assert payload["kappa_1"] == 1.0
+
     def test_parse_error_exit_code(self, capsys, tmp_path):
         bad = tmp_path / "bad.mtx"
         bad.write_text("not a matrix\n")
@@ -110,6 +118,30 @@ class TestSplitCommand:
         for i, j in enumerate(payload["irregular_cols"]):
             recon[:, j] += u.to_dense()[:, i]
         assert np.array_equal(recon, a.to_dense())
+
+    def test_sidecar_is_the_stdout_report(self, capsys, tmp_path, irregular_mtx):
+        path, a = irregular_mtx
+        rc, payload = run_json(capsys, ["split", path, "--prefix", str(tmp_path / "irr"),
+                                        "--factor", str(dense_split_factor(a))])
+        assert rc == 0
+        assert json.loads((tmp_path / "irr_split.json").read_text()) == payload
+        assert payload["schema_version"] == SCHEMA_VERSION and payload["input"] == path
+
+
+@pytest.mark.parametrize("argv, reads", [
+    (["analyze"], 1), (["split", "--prefix", "OUT"], 1), (["precond", "--matrix-out", "OUT"], 1),
+    (["solve"], 1), (["solve", "--rhs", "RHS"], 2), (["solve", "--precond-file", "M"], 2),
+    (["solve", "--rhs", "RHS", "--precond-file", "M"], 3), (["bench"], 1),
+    (["bench", "--rhs", "RHS"], 2)])
+def test_each_file_is_read_once(capsys, tmp_path, monkeypatch, identity_mtx, argv, reads):
+    files = {"OUT": str(tmp_path / "out"), "M": identity_mtx,
+             "RHS": write_mtx(tmp_path / "b.mtx", CscMatrix.from_dense(np.ones((12, 1))))}
+    read = []
+    monkeypatch.setattr(cli, "read_matrix_market",
+                        lambda path: read.append(path) or read_matrix_market(path))
+    assert main([argv[0], identity_mtx] + [files.get(arg, arg) for arg in argv[1:]]) == 0
+    capsys.readouterr()
+    assert len(read) == reads and read[0] == identity_mtx
 
 
 class TestPrecondSolve:
@@ -187,6 +219,17 @@ class TestPrecondSolve:
         assert captured.out == ""
         assert "right-hand side norm is" in captured.err
 
+    def test_split_column_norm_overflow_exit_two(self, capsys, tmp_path):
+        # b = 1 is fine, but a dense column's norm overflows in float64
+        a = generate_test_matrix("dominant-row", 80, planted_dense_cols=2, seed=7)
+        huge = CscMatrix(a.n_rows, a.n_cols, a.col_ptr, a.row_idx, a.values * 1e160)
+        rhs = write_mtx(tmp_path / "ones.mtx", CscMatrix.from_dense(np.ones((80, 1))))
+        rc = main(["solve", write_mtx(tmp_path / "huge.mtx", huge), "--rhs", rhs])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "rescale A and b" in captured.err and "overflow" not in captured.err
+
     def test_solve_exit_zero_on_target(self, capsys, tmp_path, irregular_mtx):
         path, a = irregular_mtx
         rc, report = run_json(
@@ -257,6 +300,46 @@ class TestPrecondSolve:
         for permute in ("auto", "always"):
             assert main(["solve", path, "--permute", permute]) == 3
             assert "structurally singular" in capsys.readouterr().err
+
+
+class TestLmax:
+    """``--lmax``, as the benchmark passes it, reaches the build of either method."""
+
+    @pytest.mark.parametrize("method", ["spai", "psai"])
+    def test_lmax_zero_is_the_library_build(self, capsys, irregular_mtx, method):
+        path, _ = irregular_mtx
+        rc, report = run_json(capsys, ["solve", path, "--method", method, "--lmax", "0"])
+        assert rc in (0, 1)
+        a = read_matrix_market(path)
+        build = {"spai": SpaiConfig, "psai": PsaiConfig}[method](
+            l_max=0, max_workspace_bytes=DEFAULT_MEM_GUARD)
+        want = solve_irregular(a, matvec(a, np.ones(a.n_cols)),
+                               DriverConfig(method=method, **{method: build}))
+        assert np.array(report["x_hat"]).tobytes() == want.x_hat.tobytes()
+        assert report["preconditioner_stats"]["nnz_m"] == want.preconditioner_stats["nnz_m"]
+
+    @pytest.mark.parametrize("flags, caps", [([], {"spai": 20, "psai": 10}),
+                                             (["--lmax", "0"], {"spai": 0, "psai": 0})])
+    def test_each_method_keeps_its_own_cap(self, capsys, monkeypatch, irregular_mtx,
+                                           flags, caps):
+        seen = {}
+
+        def recording(name, build):
+            def record(a, cfg, **kwargs):
+                seen[name] = cfg.l_max
+                return build(a, cfg, **kwargs)
+            return record
+
+        for name in caps:
+            monkeypatch.setattr(driver, name, recording(name, getattr(driver, name)))
+            assert main(["solve", irregular_mtx[0], "--method", name] + flags) in (0, 1)
+        capsys.readouterr()
+        assert seen == caps
+
+    @pytest.mark.parametrize("method", ["spai", "psai"])
+    def test_negative_lmax_exit_two(self, capsys, irregular_mtx, method):
+        assert main(["solve", irregular_mtx[0], "--method", method, "--lmax", "-1"]) == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestBench:

@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from saikit import (AssemblyError, CscMatrix, DriverConfig, SingularUpdateError,
-                    assemble_solution, bicgstab, generate_test_matrix, matvec, permute_rows,
-                    smw_inverse_apply, solve_irregular, solve_standard, split,
+from saikit import (AssemblyError, CscMatrix, DriverConfig, PsaiConfig, SingularUpdateError,
+                    SpaiConfig, assemble_solution, bicgstab, generate_test_matrix, matvec,
+                    permute_rows, smw_inverse_apply, solve_irregular, solve_standard, split,
                     subsystem_tolerances)
 from saikit import driver, sparse_core
 from saikit import psai as psai_module
@@ -148,6 +150,12 @@ class TestSubsystemTolerances:
         with pytest.raises(ValueError):
             subsystem_tolerances(1e-8, 1, 1.0, 0.0, [1.0])
 
+    @pytest.mark.parametrize("norm_b, norm_u", [(np.inf, [1.0]), (np.nan, [1.0]),
+                                                (1.0, [np.inf]), (1.0, [np.nan]), (1.0, [0.0])])
+    def test_non_finite_or_zero_norm_rejected(self, norm_b, norm_u):
+        with pytest.raises(ValueError, match="finite and positive|finite positive norms"):
+            subsystem_tolerances(1e-8, 1, 1.0, norm_b, norm_u)
+
     def test_budget_sound_with_posthoc_c(self):
         # residuals at the computed tolerances keep the assembled rr below eps
         rng = np.random.default_rng(17)
@@ -289,6 +297,19 @@ class TestSolveIrregular:
             monkeypatch.setattr(driver, name, forbidden)
         with pytest.raises(ValueError, match="right-hand side norm is (0.0|inf)"):
             solve(a, matvec(a, np.ones(30)) * scale)
+
+    def test_split_column_norm_overflow_rejected_before_the_build(self, monkeypatch):
+        # ||b|| is fine, but a dense column's norm overflows; once found after the build
+        a = generate_test_matrix("dominant-row", 80, planted_dense_cols=2, seed=7)
+        huge = CscMatrix(a.n_rows, a.n_cols, a.col_ptr, a.row_idx, a.values * 1e160)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("U must be checked before the build and the solve")
+
+        for name in ("spai", "psai", "bicgstab"):
+            monkeypatch.setattr(driver, name, forbidden)
+        with pytest.raises(ValueError, match=r"column \d+ has norm inf in float64; rescale A and b"):
+            solve_irregular(huge, np.ones(80))
 
     def test_one_block_solve_per_pass(self, monkeypatch):
         # few iterations leave systems stale, so posthoc rounds re-solve them
@@ -468,3 +489,79 @@ def test_untraced_build_makes_no_per_column_objects(method, monkeypatch):
     del stats["t_setup"], stats_want["t_setup"]
     assert stats == stats_want
     assert stats["n_c" if method == "spai" else "n_failed"] >= 1
+
+
+@pytest.mark.parametrize("method", ["spai", "psai"])
+def test_guard_hits_count_guard_failures_by_type(method):
+    # the dense columns' fits trip a small guard; the empty column 7 fails as degenerate
+    dense = generate_test_matrix("dominant-row", 80, planted_dense_cols=2, seed=7).to_dense()
+    dense[:, 7] = 0.0
+    a = CscMatrix.from_dense(dense)
+    build = {"spai": SpaiConfig, "psai": PsaiConfig}[method](max_workspace_bytes=200)
+    _, rep = getattr(driver, method)(a, build)
+    kinds = [msg.split(":")[0] for _, msg in rep.errors]
+    assert kinds.count("DegeneratePatternError") == 1
+    assert 0 < rep.guard_hits == kinds.count("WorkspaceGuardError") == len(kinds) - 1
+    _, stats = driver.build_preconditioner(a, DriverConfig(method=method, **{method: build}))
+    assert stats["guard_hits"] == rep.guard_hits
+    if method == "psai":
+        assert stats["n_failed"] == rep.n_failed == len(kinds)
+
+
+class TestPosthocExits:
+    """The posthoc loop's two early exits keep the first pass's solves."""
+
+    @pytest.fixture
+    def instance(self):
+        # few iterations leave systems stale, so a posthoc round would re-solve them
+        a = generate_test_matrix("dominant-row", 40, planted_dense_cols=3, seed=7)
+        b = matvec(a, np.ones(40))
+        cfg = DriverConfig(factor=dense_split_factor(a), c_policy="posthoc", max_iter=4)
+        # c = 1, the budget of the posthoc policy's first pass
+        return a, b, cfg, solve_irregular(a, b, replace(cfg, c_policy="fixed"))
+
+    @staticmethod
+    def assert_first_pass(rep, first_pass):
+        assert rep.x_hat.tobytes() == first_pass.x_hat.tobytes()
+        assert (rep.iter_y, rep.iter_w) == (first_pass.iter_y, first_pass.iter_w)
+        assert (rep.resid_y, rep.resid_w) == (first_pass.resid_y, first_pass.resid_w)
+
+    def test_singular_update_system(self, instance, monkeypatch):
+        a, b, cfg, first_pass = instance
+        calls = []
+        solve_block = driver._solve_block
+
+        def recording(*args, **kwargs):
+            calls.append(args[2].shape[1])
+            return solve_block(*args, **kwargs)
+
+        monkeypatch.setattr(driver, "_solve_block", recording)
+        assert solve_irregular(a, b, cfg).posthoc_c is not None and len(calls) > 1
+
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        calls.clear()
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        rep = solve_irregular(a, b, cfg)
+        assert calls == [4] and rep.posthoc_c is None
+        self.assert_first_pass(rep, first_pass)
+
+    def test_no_stale_system_improves(self, instance, monkeypatch):
+        a, b, cfg, first_pass = instance
+        calls, first = [], []
+        solve_block = driver._solve_block
+
+        def no_better(a_tilde, m, rhs, tols, max_iter, x0=None):
+            calls.append(x0 is not None)
+            if x0 is None:
+                first.extend(solve_block(a_tilde, m, rhs, tols, max_iter))
+                return list(first)
+            # the first-pass outcomes of the re-solved columns, matched by their start
+            return [next(o for o in first if np.array_equal(o.x, x0[:, j]))
+                    for j in range(x0.shape[1])]
+
+        monkeypatch.setattr(driver, "_solve_block", no_better)
+        rep = solve_irregular(a, b, cfg)
+        assert calls == [False, True] and rep.posthoc_c is not None
+        self.assert_first_pass(rep, first_pass)
