@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -124,12 +125,14 @@ def _stamped(fields: dict, args) -> dict:
     return {**fields, "schema_version": SCHEMA_VERSION, "input": args.input}
 
 
-def _emit(payload: dict, args) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    print(text)
-    if getattr(args, "output", None):
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
+def _check_output(path: str | None) -> None:
+    """Raise ``OSError`` when the report could not be written to ``path``; creates nothing."""
+    if path is None:
+        return
+    parent = os.path.dirname(path) or "."
+    if (os.path.isdir(path) or not os.path.isdir(parent)
+            or not os.access(path if os.path.exists(path) else parent, os.W_OK)):
+        raise OSError(f"cannot write the report to --output {path!r}")
 
 
 def _fixed_or(raw: str, other: str, flag: str) -> str | float:
@@ -292,8 +295,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
     try:
+        _check_output(args.output)      # before any work, so a bad path leaves nothing
         fields, code = COMMANDS[args.command](args, read_matrix_market(args.input))
-        _emit(_stamped(fields, args), args)
+        text = json.dumps(_stamped(fields, args), indent=2, sort_keys=True)
+        print(text)
+        if args.output:
+            with open(args.output, "w") as fh:
+                fh.write(text + "\n")
         return code
     except (StructurallySingularError, _driver.SingularUpdateError,
             _driver.AssemblyError, DegeneratePatternError,

@@ -161,9 +161,9 @@ def subsystem_tolerances(epsilon: float, s: int, c: float, norm_b: float,
                          ) -> tuple[float, np.ndarray]:
     """Relative tolerances budgeting the assembled residual below epsilon.
 
-    The main system gets epsilon / 2; each correction system j gets
-    epsilon * ||b|| / (2 sqrt(s) c ||u_j||). With s == 0 the correction
-    budget is empty.
+    The main system gets epsilon / 2, or the whole epsilon when s == 0 and
+    the correction budget is empty; each correction system j gets
+    epsilon * ||b|| / (2 sqrt(s) c ||u_j||).
     """
     if not 0.0 < norm_b < np.inf:
         raise ValueError("norm_b must be finite and positive")
@@ -171,14 +171,11 @@ def subsystem_tolerances(epsilon: float, s: int, c: float, norm_b: float,
         raise ValueError("c must be positive")
     if s < 0:
         raise ValueError("s must be non-negative")
-    tol_y = epsilon / 2.0
-    if s == 0:
-        return tol_y, np.empty(0)
     norm_u = np.asarray(norm_u, dtype=np.float64)
     if norm_u.shape != (s,) or not np.all((0.0 < norm_u) & (norm_u < np.inf)):
         raise ValueError("norm_u must hold s finite positive norms")
     tol_w = epsilon * norm_b / (2.0 * np.sqrt(s) * c * norm_u)
-    return tol_y, tol_w
+    return epsilon / (2.0 if s else 1.0), tol_w
 
 
 def _preconditioner_stats(method: str, m: CscMatrix | None, a: CscMatrix,
@@ -310,33 +307,29 @@ def _solve_split(a0: CscMatrix, b0: np.ndarray, a_tilde: CscMatrix, b_w: np.ndar
                  m: CscMatrix | None = None) -> SolveReport:
     """Solve A_tilde [y, w_1 .. w_s] = [b_w, U] with one M and assemble x.
 
-    The s + 1 systems are one block BiCGStab call. With s = 0 the single
-    system gets the whole budget epsilon. Otherwise the tolerances split it
-    between the systems, and under the posthoc policy each round re-solves,
-    in one more block call from their last iterates at half their targets,
-    the systems whose residuals miss the targets that the current estimate
-    of c sets.
+    One 2-norm per column of the dense block [b_w, U] serves, before any
+    build, both the input check, which names a bad column of A, and every
+    target, all from :func:`subsystem_tolerances`. The s + 1 systems are one
+    block BiCGStab call. Under the posthoc policy each round re-solves, in
+    one more block call from their last iterates at half their targets, the
+    systems whose residuals miss the targets that the current estimate of c
+    sets.
     """
+    s = len(irregular_cols)
+    rhs = np.column_stack([b_w, u.to_dense()])
     with np.errstate(over="ignore"):
-        for j, col in enumerate(irregular_cols):
-            norm = np.linalg.norm(u.col(j)[1])
-            if not 0.0 < norm < np.inf:
-                raise ValueError(f"split-off part of column {col} has norm {norm} in float64; "
-                                 "rescale A and b")
+        norm_b, *norm_u = (np.linalg.norm(col) for col in rhs.T)
+    for col, norm in zip(irregular_cols, norm_u):
+        if not 0.0 < norm < np.inf:
+            raise ValueError(f"split-off part of column {col} has norm {norm} in float64; "
+                             "rescale A and b")
+    c_now = cfg.c_fixed if cfg.c_policy == "fixed" else 1.0
+    tol_y, tol_w = subsystem_tolerances(cfg.epsilon, s, c_now, norm_b, norm_u)
+    targets = np.concatenate([[tol_y], tol_w])
     if m is None:
         m, stats = build_preconditioner(a_tilde, cfg)
     else:
         stats = _preconditioner_stats(cfg.method, m, a_tilde)
-    s = len(irregular_cols)
-    rhs = np.column_stack([b_w, u.to_dense()])
-    if s == 0:
-        targets = np.array([cfg.epsilon])
-    else:
-        norm_b = float(np.linalg.norm(b_w))
-        norm_u = np.array([float(np.linalg.norm(rhs[:, j])) for j in range(1, s + 1)])
-        c_now = cfg.c_fixed if cfg.c_policy == "fixed" else 1.0
-        tol_y, tol_w = subsystem_tolerances(cfg.epsilon, s, c_now, norm_b, norm_u)
-        targets = np.concatenate([[tol_y], tol_w])
     outcomes = _solve_block(a_tilde, m, rhs, targets, cfg.max_iter)
     w_hat = lambda: np.column_stack([np.empty((len(b_w), 0))] + [o.x for o in outcomes[1:]])
     posthoc_c = None

@@ -133,7 +133,9 @@ class LsWorkspace:
     ``LsWorkspace(a, k, cols)`` with an integer ``k`` is the batch of one,
     which raises on failure. With an array of targets ``k``, ``cols`` is
     the pair ``(owner, cols)`` of the initial patterns, where ``owner``
-    gives the position in ``k`` of each column's target.
+    gives the position in ``k`` of each column's target. A failed target
+    keeps its exception in ``errors``, no pattern or residual entries, and a
+    NaN in ``residual_norms``, which the lockstep builds rely on to stop it.
     """
 
     def __init__(self, a: CscMatrix, k, cols,

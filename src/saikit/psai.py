@@ -124,7 +124,6 @@ def _lockstep(a: CscMatrix, ks: np.ndarray, cfg: PsaiConfig, a_norm1: float,
     tols, drops = [(none, empty)], [(none, none, none, empty, empty)]
     loops_used = np.zeros(n_t, dtype=np.int64)
     active = np.ones(n_t, dtype=bool)
-    active[list(ws.errors)] = False
     f_owner, f_cols = np.arange(n_t), ks
 
     def apply_dropping(loop: int) -> None:
@@ -146,12 +145,11 @@ def _lockstep(a: CscMatrix, ks: np.ndarray, cfg: PsaiConfig, a_norm1: float,
         drops.append((d_owner, np.full(len(d_owner), loop), d_cols, mags[doomed][order],
                       tol[d_owner]))
         ws.drop_columns(a, d_cols, d_owner)
-        active[list(ws.errors)] = False
 
     if dropping:
         apply_dropping(0)
     for loop in range(1, cfg.l_max + 1):
-        active &= ~(ws.residual_norms <= cfg.delta)
+        active &= ws.residual_norms > cfg.delta     # a failed column's NaN ends it too
         if not active.any():
             break
         keep = active[f_owner]
@@ -160,7 +158,6 @@ def _lockstep(a: CscMatrix, ks: np.ndarray, cfg: PsaiConfig, a_norm1: float,
         new = ~member(np.sort(owner * n + cols), f_owner * n + f_cols)
         if new.any():
             ws.augment(a, f_cols[new], f_owner[new])
-            active[list(ws.errors)] = False
         loops_used[active] = loop
         if dropping:
             apply_dropping(loop)

@@ -204,10 +204,9 @@ def _lockstep(a: CscMatrix, ks: np.ndarray, cfg: SpaiConfig):
     scored = [(none, none, none, empty, np.empty(0, dtype=bool))]
     loops_used = np.zeros(n_t, dtype=np.int64)
     live = np.ones(n_t, dtype=bool)
-    live[list(ws.errors)] = False
     for loop in range(cfg.l_max + 1):
         norms.append((np.flatnonzero(live), ws.residual_norms[live]))
-        live &= ~(ws.residual_norms <= cfg.delta)
+        live &= ws.residual_norms > cfg.delta       # a failed column's NaN ends it too
         if loop == cfg.l_max or not live.any():
             break
         r_owner, r_rows, r_vals = ws.residuals()
@@ -233,7 +232,6 @@ def _lockstep(a: CscMatrix, ks: np.ndarray, cfg: SpaiConfig):
             scored.append((p_owner, np.full(len(keys), loop), p_cols, rho, picked))
         ws.augment(a, p_cols[pick], p_owner[pick])
         loops_used[live] += 1
-        live[list(ws.errors)] = False
     return ws.errors, ws.residual_norms, loops_used, {
         "pattern": [ws.pattern()], "norms": norms, "sizes": sizes, "scored": scored}
 

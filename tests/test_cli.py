@@ -144,6 +144,54 @@ def test_each_file_is_read_once(capsys, tmp_path, monkeypatch, identity_mtx, arg
     assert len(read) == reads and read[0] == identity_mtx
 
 
+class TestOutputPath:
+    """An unwritable ``--output`` exits 2 before the input is read, and writes nothing."""
+
+    @pytest.mark.parametrize("argv", [["analyze"], ["split", "--prefix", "PREFIX"],
+                                      ["precond", "--matrix-out", "PREFIX_m.mtx"], ["solve"],
+                                      ["bench"]])
+    @pytest.mark.parametrize("output", ["nodir/x.json", "DIR", "FILE/x.json"])
+    def test_unwritable_output_exits_two_before_any_work(self, capsys, tmp_path, monkeypatch,
+                                                         identity_mtx, argv, output):
+        (tmp_path / "file").write_text("")
+        names = {"PREFIX": str(tmp_path / "p"), "PREFIX_m.mtx": str(tmp_path / "p_m.mtx"),
+                 "DIR": str(tmp_path), "FILE/x.json": str(tmp_path / "file" / "x.json"),
+                 "nodir/x.json": str(tmp_path / "nodir" / "x.json")}
+
+        def forbidden(path):
+            raise AssertionError("the input must not be read")
+
+        monkeypatch.setattr(cli, "read_matrix_market", forbidden)
+        before = sorted(tmp_path.iterdir())
+        rc = main([argv[0], identity_mtx, *(names.get(x, x) for x in argv[1:]),
+                   "--output", names[output]])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert "--output" in captured.err
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_split_writes_no_file(self, capsys, tmp_path, irregular_mtx):
+        rc = main(["split", irregular_mtx[0], "--prefix", str(tmp_path / "p"),
+                   "--output", str(tmp_path / "nodir" / "x.json")])
+        assert rc == 2 and capsys.readouterr().out == ""
+        assert not list(tmp_path.glob("p_*"))
+
+    def test_failed_run_leaves_no_report_file(self, capsys, tmp_path):
+        out = tmp_path / "report.json"
+        rc = main(["solve", str(tmp_path / "missing.mtx"), "--output", str(out)])
+        assert rc == 2 and capsys.readouterr().out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_report_file_is_the_stdout_text(self, capsys, tmp_path, irregular_mtx, existing):
+        out = tmp_path / "report.json"
+        if existing:
+            out.write_text("stale")
+        rc = main(["solve", irregular_mtx[0], "--output", str(out)])
+        assert rc == 0
+        assert out.read_text() == capsys.readouterr().out
+
+
 class TestPrecondSolve:
     def test_precond_reuse(self, capsys, tmp_path, identity_mtx):
         m_path = str(tmp_path / "m.mtx")

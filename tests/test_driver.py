@@ -142,9 +142,24 @@ class TestSubsystemTolerances:
         assert np.allclose(tol_w, 5e-9)
 
     def test_empty_when_no_corrections(self):
+        # with no corrections the single system gets the whole budget
         tol_y, tol_w = subsystem_tolerances(1e-8, 0, 1.0, 1.0, [])
-        assert tol_y == pytest.approx(5e-9)
+        assert tol_y == 1e-8
         assert len(tol_w) == 0
+
+    @pytest.mark.parametrize("c_policy", ["fixed", "posthoc"])
+    def test_single_system_target_is_the_s_zero_budget(self, monkeypatch, c_policy):
+        a = generate_test_matrix("dominant-row", 30, seed=4)
+        cfg = DriverConfig(epsilon=3e-9, c_policy=c_policy, c_fixed=2.5)
+        tols = []
+
+        def recording(apply_op, rhs, x0=None, **kwargs):
+            tols.append(np.asarray(kwargs["tol"]).tolist())
+            return bicgstab(apply_op, rhs, x0, **kwargs)
+
+        monkeypatch.setattr(driver, "bicgstab", recording)
+        solve_standard(a, matvec(a, np.ones(30)), cfg)
+        assert tols == [[subsystem_tolerances(3e-9, 0, 2.5, 1.0, [])[0]]] == [[3e-9]]
 
     def test_zero_rhs_rejected(self):
         with pytest.raises(ValueError):
@@ -303,12 +318,15 @@ class TestSolveIrregular:
         a = generate_test_matrix("dominant-row", 80, planted_dense_cols=2, seed=7)
         huge = CscMatrix(a.n_rows, a.n_cols, a.col_ptr, a.row_idx, a.values * 1e160)
 
+        irregular = split(huge).irregular_cols
+
         def forbidden(*args, **kwargs):
             raise AssertionError("U must be checked before the build and the solve")
 
-        for name in ("spai", "psai", "bicgstab"):
+        for name in ("build_preconditioner", "spai", "psai", "bicgstab"):
             monkeypatch.setattr(driver, name, forbidden)
-        with pytest.raises(ValueError, match=r"column \d+ has norm inf in float64; rescale A and b"):
+        with pytest.raises(ValueError, match=rf"split-off part of column {irregular[0]} has "
+                                             r"norm inf in float64; rescale A and b"):
             solve_irregular(huge, np.ones(80))
 
     def test_one_block_solve_per_pass(self, monkeypatch):

@@ -120,6 +120,21 @@ class TestAugment:
             ws.augment(a, [5])
 
 
+class TestBatchFailure:
+    def test_guard_trip_mid_build_reads_nan_and_leaves_no_state(self):
+        # the lockstep builds stop a failed target by its NaN residual norm alone
+        a = CscMatrix.from_dense(np.eye(8) + np.diag(np.ones(7), 1) + np.diag(np.ones(7), -1))
+        ws = ls_init(a, np.array([0, 4]), (np.array([0, 1]), np.array([0, 4])),
+                     max_workspace_bytes=200)
+        assert not ws.errors and np.isfinite(ws.residual_norms).all()
+        ws.augment(a, [1, 2, 3, 5, 6, 7], [0, 1, 1, 1, 1, 1])
+        assert list(ws.errors) == [1] and isinstance(ws.errors[1], WorkspaceGuardError)
+        assert np.isnan(ws.residual_norms[1]) and not ws.residual_norms[1] > 0.0
+        assert np.isfinite(ws.residual_norms[0])
+        assert not (ws.pattern()[0] == 1).any()
+        assert not (ws.residuals()[0] == 1).any()
+
+
 class TestDrop:
     def test_drop_zero_coefficient_column(self):
         # col 2 duplicates col 0, so the factorization marks it dependent (coef 0)
