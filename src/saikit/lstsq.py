@@ -18,11 +18,18 @@ problem decouples into blocks and e_k vanishes off this one, so a pattern
 column that shares no row with the block gets coefficient exactly 0.
 
 Solve: the gather, the row sets, the blocks and the residuals of the
-whole batch are vectorised; each block is then solved on its own with an
-unpivoted Householder QR called through LAPACK (``dgeqrf``, ``dormqr``,
-``dtrtrs``), columns taken in insertion order. The residual is summed
-entry by entry in pattern order, so a target's result does not depend,
-bit for bit, on what else is in its batch.
+whole batch are vectorised. A block of one column ``a`` is solved in
+closed form, ``a_k / ||a||^2`` (Grote and Huckle, 1997), for every such
+target at once: two ``bincount``s over the block entries give ``a_k`` and
+``||a||^2``. Where ``||a||^2`` is not a normal float (it under- or
+overflows, which takes entries below about 1e-154 or above about 1e154),
+that block goes to the QR instead. Every other block is solved on its
+own with an unpivoted Householder QR called through LAPACK (``dgeqrf``,
+``dormqr``, ``dtrtrs``), columns taken in insertion order. The closed
+form and the QR agree to within rounding, not bit for bit. Each sum runs
+entry by entry in pattern order and the choice between the two is made
+per target, so a target's result does not depend, bit for bit, on what
+else is in its batch.
 
 Dependent columns: column i of the block is dependent when
 ``|R_ii| <= 1e-12 * max |R_jj|`` over the earlier accepted columns, or when
@@ -31,7 +38,10 @@ dependent column, so the diagonals after it cannot be trusted: only the
 first dependent column is removed and the rest is refactorized, one column
 at a time, which reproduces the greedy choice of incremental Gram-Schmidt.
 Dependent columns get coefficient 0. With more columns than rows, the
-first ``rows`` columns span the block.
+first ``rows`` columns span the block. A one-column block is never
+dependent: ``A`` stores no zeros and the column holds an entry of the
+block, so ``||a|| > 0``; a zero ``||a||^2`` can only be an underflow,
+which the QR solves.
 
 Failures: a single target raises. In a batch, a target whose workspace
 guard trips or whose pattern selects an all-zero submatrix is removed from
@@ -46,6 +56,7 @@ from scipy.linalg.lapack import dgeqrf, dormqr, dtrtrs
 from .sparse_core import CscMatrix, SparseVector, key_parts, member, pointers, sorted_unique
 
 _DEPENDENT_TOL = 1e-12
+_TINY = np.finfo(np.float64).tiny
 
 
 class DegeneratePatternError(ValueError):
@@ -105,6 +116,22 @@ def _householder_solve(sub: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np
     z = dormqr("L", "T", qr[:, :r], tau, rhs[:, None], 1)[0]
     y = dtrtrs(qr[:r, :r], z[:r])[0]
     return y[:, 0], active[:r]
+
+
+def _one_column_fits(owner: np.ndarray, val: np.ndarray, at_k: np.ndarray,
+                     n_t: int) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form fits ``a_k / ||a||^2`` of one-column blocks, and where they hold.
+
+    ``val`` holds the entries of each target's block column, target after
+    target, and ``at_k`` marks the entry in row k. Both sums run in entry
+    order. A fit holds where ``||a||^2`` is a normal float: an all-zero
+    column, or one whose squares under- or overflow, is left to the QR.
+    """
+    with np.errstate(over="ignore"):
+        den = np.bincount(owner, weights=val * val, minlength=n_t)
+    num = np.bincount(owner, weights=val * at_k, minlength=n_t)
+    ok = (den >= _TINY) & (den < np.inf)
+    return np.divide(num, den, out=np.zeros(n_t), where=ok), ok
 
 
 def _residual(at: np.ndarray, terms: np.ndarray, is_k: np.ndarray, l_owner: np.ndarray,
@@ -334,7 +361,8 @@ class LsWorkspace:
 
     def _solve_blocks(self, coeffs, in_rows, in_cols, is_k, l_owner, owner, e_owner,
                       at, pos, vals) -> None:
-        """Fill ``coeffs`` on the row-k blocks, one dense block at a time."""
+        """Fill ``coeffs`` on the row-k blocks: one-column blocks in closed
+        form, all at once, and every other block on its own."""
         n_t = len(self.targets)
         m = np.bincount(l_owner[in_rows], minlength=n_t)   # block shape per target
         p = np.bincount(owner[in_cols], minlength=n_t)
@@ -342,12 +370,17 @@ class LsWorkspace:
         rhs = is_k[in_rows].astype(np.float64)
         block_cols = np.flatnonzero(in_cols)
         ent = np.flatnonzero(in_cols[pos])        # block entries, target after target
+        t_ent = e_owner[ent]
+        fit, closed = _one_column_fits(t_ent, vals[ent], is_k[at[ent]], n_t)
+        closed &= p == 1
+        coeffs[block_cols[col_start[closed]]] = fit[closed]
+        ent = ent[~closed[t_ent]]                 # the other blocks' entries
         row = (np.cumsum(in_rows) - 1 - row_start[l_owner])[at[ent]]
         col = (np.cumsum(in_cols) - 1 - col_start[owner])[pos[ent]]
         val = vals[ent]
         ptr = pointers(e_owner[ent], n_t).tolist()
         ms, ps, rs, cs = (x.tolist() for x in (m, p, row_start, col_start))
-        for t in np.flatnonzero(p).tolist():
+        for t in np.flatnonzero((p > 0) & ~closed).tolist():
             mt, r0, c0, lo, hi = ms[t], rs[t], cs[t], ptr[t], ptr[t + 1]
             sub = np.zeros((mt, ps[t]))
             sub[row[lo:hi], col[lo:hi]] = val[lo:hi]

@@ -5,6 +5,12 @@ interior-mask row order check of ``CscMatrix.__post_init__`` are kept
 verbatim as ``from_coo`` and ``check_csc``: the one returns the three CSC
 arrays in place of the matrix, the other raises what the constructor raised.
 
+The all-LAPACK block solve of ``lstsq.LsWorkspace._solve_blocks``, which
+ran every row-k block, one-column blocks included, through
+``_householder_solve`` one target at a time, is kept verbatim as
+``solve_blocks``, with ``self`` the workspace, so a test may set it in
+place of the method that solves one-column blocks in closed form.
+
 The others are kept as they were, less the argument checks and with the
 matrix passed in, as test oracles for ``spai.spai_profitability``,
 ``sparse_core.matvec`` / ``matvec_t`` and ``CscMatrix.diagonal`` /
@@ -57,12 +63,12 @@ from scipy.sparse.csgraph import maximum_bipartite_matching as _max_matching
 from saikit import driver
 from saikit.driver import DriverConfig, SolveReport
 from saikit.krylov import BlockOutcome, SolveOutcome
-from saikit.lstsq import DegeneratePatternError, WorkspaceGuardError, ls_init
+from saikit.lstsq import DegeneratePatternError, WorkspaceGuardError, _householder_solve, ls_init
 from saikit.psai import PsaiColumnResult, PsaiConfig, psai_tol
 from saikit.sparse_core import (CscMatrix, MatrixMarketError, PathOrStream, SparseVector,
                                 StructurallySingularError, UnsupportedFieldError,
                                 _as_index_array, _as_value_array, _open_text, column_stats,
-                                norm1, transpose)
+                                norm1, pointers, transpose)
 from saikit.sparse_core import sorted_unique as _sorted_unique
 from saikit.spai import ColumnProfile, ColumnResult, SpaiConfig
 from saikit.splitting import SplitSystem, _keep_indices
@@ -127,6 +133,29 @@ def from_coo(n_rows: int, n_cols: int, rows, cols, vals,
     np.add.at(col_ptr, cols + 1, 1)
     np.cumsum(col_ptr, out=col_ptr)
     return col_ptr, rows, vals
+
+
+def solve_blocks(self, coeffs, in_rows, in_cols, is_k, l_owner, owner, e_owner,
+                 at, pos, vals) -> None:
+    """Fill ``coeffs`` on the row-k blocks, one dense block at a time."""
+    n_t = len(self.targets)
+    m = np.bincount(l_owner[in_rows], minlength=n_t)   # block shape per target
+    p = np.bincount(owner[in_cols], minlength=n_t)
+    row_start, col_start = np.cumsum(m) - m, np.cumsum(p) - p
+    rhs = is_k[in_rows].astype(np.float64)
+    block_cols = np.flatnonzero(in_cols)
+    ent = np.flatnonzero(in_cols[pos])        # block entries, target after target
+    row = (np.cumsum(in_rows) - 1 - row_start[l_owner])[at[ent]]
+    col = (np.cumsum(in_cols) - 1 - col_start[owner])[pos[ent]]
+    val = vals[ent]
+    ptr = pointers(e_owner[ent], n_t).tolist()
+    ms, ps, rs, cs = (x.tolist() for x in (m, p, row_start, col_start))
+    for t in np.flatnonzero(p).tolist():
+        mt, r0, c0, lo, hi = ms[t], rs[t], cs[t], ptr[t], ptr[t + 1]
+        sub = np.zeros((mt, ps[t]))
+        sub[row[lo:hi], col[lo:hi]] = val[lo:hi]
+        y, active = _householder_solve(sub, rhs[r0:r0 + mt])
+        coeffs[block_cols[c0 + active]] = y
 
 
 def spai_profitability(a: CscMatrix, r_dense: np.ndarray, cand,

@@ -13,6 +13,9 @@ them must not. The block BiCGStab judges convergence on the recursive
 residual where the loop judged it on the true one, so a column may stop
 one iteration apart, but with the same flag and a true reported residual.
 The one-exit block BiCGStab must match the first block solver byte for byte.
+The least-squares kernel solves one-column blocks in closed form where the
+loop ran LAPACK's QR on them, so SPAI and PSAI built on the two must have
+the same pattern and values equal to within rounding.
 """
 
 import io
@@ -24,17 +27,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csc_matrix
 
-from saikit import (CscMatrix, DegeneratePatternError, DriverConfig, MatrixMarketError, SparseVector,
-                    SpaiConfig, bicgstab, generate_test_matrix, ls_init, matvec, matvec_t,
-                    permute_rows, read_matrix_market, solve_irregular, solve_standard,
-                    spai_profitability, split)
+from saikit import (CscMatrix, DegeneratePatternError, DriverConfig, MatrixMarketError, PsaiConfig,
+                    SparseVector, SpaiConfig, bicgstab, generate_test_matrix, ls_init, matvec,
+                    matvec_t, permute_rows, read_matrix_market, solve_irregular, solve_standard,
+                    spai_profitability, split, zero_free_diagonal_permutation)
+from saikit.psai import psai
 from saikit.spai import spai
-from saikit import driver
+from saikit import driver, lstsq
 from saikit.splitting import _strongly_connected
 
 from . import loop_reference
 from .conftest import dense_split_factor
-from .test_lstsq_reference import generator_inputs, ls_programs, random_subset
+from .test_lstsq_reference import (column_value_difference, generator_inputs, ls_programs,
+                                   random_subset)
 
 seeds = st.integers(0, 2 ** 31 - 1)
 
@@ -528,3 +533,23 @@ def test_one_exit_bicgstab_matches_block_reference(seed, k, max_iter, kind, prec
         assert (g.flag, g.iterations) == (w.flag, w.iterations), j
         assert g.x.tobytes() == w.x.tobytes(), j
         assert np.float64(g.rel_residual).tobytes() == np.float64(w.rel_residual).tobytes(), j
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds, st.sampled_from(KINDS), st.integers(2, 60), st.booleans())
+def test_builds_match_all_lapack_block_solve(seed, kind, n, shuffle):
+    a = generate_test_matrix(kind, n, seed=seed)
+    if shuffle:
+        shuffled = permute_rows(a, np.random.default_rng(seed).permutation(a.n_rows))
+        a = permute_rows(shuffled, zero_free_diagonal_permutation(shuffled))
+    builds = [lambda: spai(a, SpaiConfig(delta=0.2))[0],
+              lambda: psai(a, PsaiConfig(delta=0.1))[0],
+              lambda: psai(a, PsaiConfig(l_max=0))[0]]
+    new = [build() for build in builds]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lstsq.LsWorkspace, "_solve_blocks", loop_reference.solve_blocks)
+        old = [build() for build in builds]
+    for m_new, m_old in zip(new, old):
+        assert np.array_equal(m_new.col_ptr, m_old.col_ptr)
+        assert np.array_equal(m_new.row_idx, m_old.row_idx)
+        assert column_value_difference(m_new, m_old) <= 1e-14

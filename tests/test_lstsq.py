@@ -1,9 +1,16 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from saikit import CscMatrix, DegeneratePatternError, WorkspaceGuardError, ls_init
+from saikit import (CscMatrix, DegeneratePatternError, PsaiConfig, WorkspaceGuardError,
+                    generate_test_matrix, ls_init)
+from saikit import lstsq
+from saikit.psai import psai
+
+from .test_lstsq_reference import column_value_difference
 
 
 def dense_ls_residual(dense: np.ndarray, cols, k: int) -> float:
@@ -216,3 +223,54 @@ def test_augment_monotonicity(instance):
         prev = ws.residual_norm
     assert abs(ws.residual_norm - full_residual(dense, ws)) <= \
         1e-10 * max(1.0, ws.residual_norm)
+
+
+def one_column_block(rng) -> tuple[np.ndarray, np.ndarray]:
+    """A block column with stored zeros, maybe all zero, at a scale in 1e-155..1e155,
+    and the mask of its row k."""
+    m = int(rng.integers(1, 40))
+    col = rng.standard_normal(m) * (rng.random(m) < rng.choice([0.3, 0.7, 1.0]))
+    if rng.random() < 0.1:
+        col[:] = 0.0
+    return col * 10.0 ** rng.uniform(-155, 155), np.arange(m) == rng.integers(m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1))
+def test_one_column_fit_matches_householder(seed):
+    rng = np.random.default_rng(seed)
+    blocks = [one_column_block(rng) for _ in range(int(rng.integers(1, 5)))]
+    owner = np.concatenate([np.full(len(c), t) for t, (c, _) in enumerate(blocks)])
+    val, at_k = (np.concatenate(x) for x in zip(*blocks))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit, ok = lstsq._one_column_fits(owner, val, at_k, len(blocks))
+        for t, (col, k_mask) in enumerate(blocks):
+            alone = lstsq._one_column_fits(np.zeros(len(col), dtype=np.int64), col, k_mask, 1)
+            assert (alone[0][0], alone[1][0]) == (fit[t], ok[t])   # bits do not depend on the batch
+            if not col.any():
+                # no caller has one (a block column holds a stored nonzero of A),
+                # and the QR, which flags it dependent, cannot solve it either
+                assert not ok[t]
+                continue
+            y, active = lstsq._householder_solve(col[:, None], k_mask.astype(np.float64))
+            assert list(active) == [0]
+            if ok[t]:
+                # relative to 1 / max |a|, the coefficient's scale: the QR's own
+                # 1 - tau cancels when row k is the block's first and |a_k| is small
+                tol = 4 * len(col) * np.finfo(float).eps / np.abs(col).max()
+                assert abs(fit[t] - y[0]) <= tol
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e155, 1e-155, 1e-170])
+def test_one_column_builds_at_extreme_scales(scale):
+    # ||A e_k||^2 overflows, is subnormal or underflows to 0 here, so those
+    # fits fall back to the QR
+    a = generate_test_matrix("dominant-row", 80, planted_dense_cols=2, seed=7)
+    scaled = CscMatrix(a.n_rows, a.n_cols, a.col_ptr, a.row_idx, a.values * scale)
+    m, m_scaled = psai(a, PsaiConfig(l_max=0))[0], psai(scaled, PsaiConfig(l_max=0))[0]
+    assert m_scaled.nnz == 80
+    assert np.array_equal(m_scaled.col_ptr, m.col_ptr)
+    assert np.array_equal(m_scaled.row_idx, m.row_idx)
+    back = CscMatrix(m.n_rows, m.n_cols, m.col_ptr, m.row_idx, m_scaled.values * scale)
+    assert column_value_difference(back, m) <= 1e-14
