@@ -23,13 +23,23 @@ closed form, ``a_k / ||a||^2`` (Grote and Huckle, 1997), for every such
 target at once: two ``bincount``s over the block entries give ``a_k`` and
 ``||a||^2``. Where ``||a||^2`` is not a normal float (it under- or
 overflows, which takes entries below about 1e-154 or above about 1e154),
-that block goes to the QR instead. Every other block is solved on its
-own with an unpivoted Householder QR called through LAPACK (``dgeqrf``,
-``dormqr``, ``dtrtrs``), columns taken in insertion order. The closed
-form and the QR agree to within rounding, not bit for bit. Each sum runs
-entry by entry in pattern order and the choice between the two is made
-per target, so a target's result does not depend, bit for bit, on what
-else is in its batch.
+that block goes to the loop below instead. A block of two or more
+columns is solved by block class: its column count ``p`` and its row
+count rounded up to a multiple of 8, the height to which it is padded
+with zero rows. The right-hand side ``e_k`` is appended as column ``p``;
+one unpivoted Householder QR (``np.linalg.qr``, ``mode="r"``) of a stack
+of a class's blocks gives each ``R`` and, in its last column, ``Q^T e_k``,
+and one stacked triangular solve gives the coefficients. A stack holds
+64 KiB at most. Three kinds of block are solved one at a time instead,
+by a loop over an unpivoted Householder QR called through LAPACK
+(``dgeqrf``, ``dormqr``, ``dtrtrs``): a block with fewer rows than
+columns, one that fills more than half a stack (it would be alone in it),
+and one in which the stacked ``R`` shows a dependent column. Columns are
+taken in insertion order throughout. The three solvers agree to within
+rounding, not bit for bit. Each sum runs entry by entry in pattern order,
+the choice of solver is made from the block alone, and the stacked QR
+solves each block of a stack on its own, so a target's result does not
+depend, bit for bit, on what else is in its batch.
 
 Dependent columns: column i of the block is dependent when
 ``|R_ii| <= 1e-12 * max |R_jj|`` over the earlier accepted columns, or when
@@ -41,7 +51,8 @@ Dependent columns get coefficient 0. With more columns than rows, the
 first ``rows`` columns span the block. A one-column block is never
 dependent: ``A`` stores no zeros and the column holds an entry of the
 block, so ``||a|| > 0``; a zero ``||a||^2`` can only be an underflow,
-which the QR solves.
+which the loop solves. A stacked block with a dependent column goes to
+the loop, which applies this rule.
 
 Failures: a single target raises. In a batch, a target whose workspace
 guard trips or whose pattern selects an all-zero submatrix is removed from
@@ -53,10 +64,14 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg.lapack import dgeqrf, dormqr, dtrtrs
 
-from .sparse_core import CscMatrix, SparseVector, key_parts, member, pointers, sorted_unique
+from .sparse_core import (CscMatrix, SparseVector, key_parts, member, pointers, ranges,
+                          sorted_unique)
 
 _DEPENDENT_TOL = 1e-12
 _TINY = np.finfo(np.float64).tiny
+_STACK_BYTES = 64 * 1024       # the input of one stacked QR, at most
+# bound once, so a later patch of ``np.linalg`` does not reach this kernel
+_qr, _solve = np.linalg.qr, np.linalg.solve
 
 
 class DegeneratePatternError(ValueError):
@@ -132,6 +147,36 @@ def _one_column_fits(owner: np.ndarray, val: np.ndarray, at_k: np.ndarray,
     num = np.bincount(owner, weights=val * at_k, minlength=n_t)
     ok = (den >= _TINY) & (den < np.inf)
     return np.divide(num, den, out=np.zeros(n_t), where=ok), ok
+
+
+def _stack_solve(stack: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares coefficients of a stack of blocks with ``p`` columns each.
+
+    Each block carries its right-hand side as column ``p``. One QR of the
+    stack gives ``R`` and, in its last column, ``Q^T b``; one stacked
+    triangular solve gives the coefficients of the blocks in which no
+    column is dependent. Returns those, block after block, and the mask of
+    the blocks solved. A block's bits do not depend on the others.
+    """
+    r = _qr(stack, mode="r")
+    diag = np.abs(np.diagonal(r[:, :p, :p], axis1=1, axis2=2))
+    ok = ~(diag <= _DEPENDENT_TOL * np.maximum.accumulate(diag, axis=1)).any(axis=1)
+    return _solve(r[ok, :p, :p], r[ok, :p, p:])[:, :, 0], ok
+
+
+def _stacks(key: np.ndarray, size: np.ndarray) -> list[int]:
+    """Bounds of the stacks of blocks sorted by class ``key`` (0: no stack).
+
+    A stack holds blocks of one class, ``size`` floats each, and takes
+    ``_STACK_BYTES`` at most. The first bound is where class 0 ends.
+    """
+    bounds = [int(np.searchsorted(key, 0, side="right"))]
+    for end in [*(np.flatnonzero(np.diff(key)) + 1).tolist(), len(key)]:
+        if end > bounds[-1]:                # a class of stacked blocks ends here
+            cap = _STACK_BYTES // (8 * int(size[bounds[-1]]))
+            bounds += range(bounds[-1], end, cap)[1:]
+            bounds.append(end)
+    return bounds
 
 
 def _residual(at: np.ndarray, terms: np.ndarray, is_k: np.ndarray, l_owner: np.ndarray,
@@ -362,30 +407,62 @@ class LsWorkspace:
     def _solve_blocks(self, coeffs, in_rows, in_cols, is_k, l_owner, owner, e_owner,
                       at, pos, vals) -> None:
         """Fill ``coeffs`` on the row-k blocks: one-column blocks in closed
-        form, all at once, and every other block on its own."""
+        form, all at once; the others in stacks by block class; the blocks
+        that neither solves one at a time."""
         n_t = len(self.targets)
         m = np.bincount(l_owner[in_rows], minlength=n_t)   # block shape per target
         p = np.bincount(owner[in_cols], minlength=n_t)
-        row_start, col_start = np.cumsum(m) - m, np.cumsum(p) - p
-        rhs = is_k[in_rows].astype(np.float64)
+        col_start = np.cumsum(p) - p
         block_cols = np.flatnonzero(in_cols)
         ent = np.flatnonzero(in_cols[pos])        # block entries, target after target
         t_ent = e_owner[ent]
         fit, closed = _one_column_fits(t_ent, vals[ent], is_k[at[ent]], n_t)
         closed &= p == 1
         coeffs[block_cols[col_start[closed]]] = fit[closed]
-        ent = ent[~closed[t_ent]]                 # the other blocks' entries
+        ts = np.flatnonzero((p > 0) & ~closed)    # the blocks left
+        if len(ts) == 0:
+            return
+        # class 0: solved alone (short, or over half a stack); else p and the
+        # rows rounded up to 8
+        m_t, p_t = m[ts], p[ts]
+        height = (m_t + 7) // 8 * 8
+        stacked = (p_t > 1) & (m_t >= p_t) & (16 * height * (p_t + 1) <= _STACK_BYTES)
+        key = np.where(stacked, p_t * (height.max() + 1) + height, 0)
+        order = np.argsort(key, kind="stable")
+        ts, m_t, p_t, height, key = ts[order], m_t[order], p_t[order], height[order], key[order]
+        ptr = pointers(t_ent, n_t)
+        lens = ptr[ts + 1] - ptr[ts]
+        ent = ent[ranges(ptr[ts], lens)]         # their entries, block after block
+        row_start = np.cumsum(m) - m
         row = (np.cumsum(in_rows) - 1 - row_start[l_owner])[at[ent]]
         col = (np.cumsum(in_cols) - 1 - col_start[owner])[pos[ent]]
         val = vals[ent]
-        ptr = pointers(e_owner[ent], n_t).tolist()
-        ms, ps, rs, cs = (x.tolist() for x in (m, p, row_start, col_start))
-        for t in np.flatnonzero((p > 0) & ~closed).tolist():
-            mt, r0, c0, lo, hi = ms[t], rs[t], cs[t], ptr[t], ptr[t + 1]
-            sub = np.zeros((mt, ps[t]))
+        rhs = is_k[in_rows].astype(np.float64)
+        # row k of each block: rhs holds one 1 per target with a block, in target order
+        k_row = np.flatnonzero(rhs)[np.searchsorted(np.flatnonzero(m), ts)] - row_start[ts]
+        e_ptr = np.concatenate(([0], np.cumsum(lens))).tolist()
+        bounds = _stacks(key, height * (p_t + 1))
+        alone = list(range(bounds[0]))
+        solved, y = [], []
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            stack = np.zeros((hi - lo, height[lo], p_t[lo] + 1))
+            slot = np.arange(hi - lo)
+            stack[slot.repeat(lens[lo:hi]), row[e_ptr[lo]:e_ptr[hi]],
+                  col[e_ptr[lo]:e_ptr[hi]]] = val[e_ptr[lo]:e_ptr[hi]]
+            stack[slot, k_row[lo:hi], p_t[lo]] = 1.0
+            y_s, ok = _stack_solve(stack, int(p_t[lo]))
+            solved.append(ts[lo:hi][ok])
+            y.append(y_s.ravel())
+            alone.extend(np.flatnonzero(~ok) + lo)
+        if solved:
+            done = np.concatenate(solved)
+            coeffs[block_cols[ranges(col_start[done], p[done])]] = np.concatenate(y)
+        for i in alone:
+            t, mt, lo, hi = ts[i], m_t[i], e_ptr[i], e_ptr[i + 1]
+            sub = np.zeros((mt, p_t[i]))
             sub[row[lo:hi], col[lo:hi]] = val[lo:hi]
-            y, active = _householder_solve(sub, rhs[r0:r0 + mt])
-            coeffs[block_cols[c0 + active]] = y
+            y_t, active = _householder_solve(sub, rhs[row_start[t]:row_start[t] + mt])
+            coeffs[block_cols[col_start[t] + active]] = y_t
 
 
 def ls_init(a: CscMatrix, k, cols, max_workspace_bytes: int | None = None) -> LsWorkspace:

@@ -23,7 +23,7 @@ from operator import itemgetter
 import numpy as np
 from scipy.sparse import csc_matrix as _scipy_csc
 
-from .lstsq import WorkspaceGuardError, ls_init
+from .lstsq import _TINY, WorkspaceGuardError, ls_init
 from .sparse_core import CscMatrix, SparseVector, key_parts, member, owners, pointers
 
 # Columns per lockstep batch at most: a batch holds the subproblems of all
@@ -159,6 +159,18 @@ def spai_candidates(a: CscMatrix, r, s) -> np.ndarray:
     return touched[~member(np.sort(np.asarray(s, dtype=np.int64)), touched)]
 
 
+def _col_sqnorms(a: CscMatrix) -> np.ndarray:
+    """``||A e_j||^2`` of every column; a square that overflows reads inf."""
+    with np.errstate(over="ignore"):
+        return np.bincount(a.entry_cols(), weights=a.values ** 2, minlength=a.n_cols)
+
+
+def _col_norms(a: CscMatrix, cols: np.ndarray) -> np.ndarray:
+    """``||A e_j||`` of the nonempty columns ``cols`` by ``hypot``, which forms no square."""
+    _, vals, pos = a.columns(cols)
+    return np.hypot.reduceat(np.abs(vals), pointers(pos, len(cols))[:-1])
+
+
 def spai_profitability(a: CscMatrix, r, cand, col_sqnorms: np.ndarray | None = None,
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Post-update residual norms rho for the candidate keys ``cand`` (``t * n + j``).
@@ -166,23 +178,36 @@ def spai_profitability(a: CscMatrix, r, cand, col_sqnorms: np.ndarray | None = N
     rho^2 = ||r_t||^2 - (r_t . A e_j)^2 / ||A e_j||^2, clamped at zero, with
     every dot taken from one sparse product A^T R (``r`` as for
     :func:`spai_candidates`). Each dot and ``||r_t||^2`` sum their terms in
-    row order. Zero columns cannot improve anything. Returns the scored
-    keys, their rho, and the keys of zero columns, each in ``cand`` order.
+    row order. Where ``||A e_j||^2`` is not a normal float (entries below
+    about 1e-154 or above about 1e154), the gain is ``(dot / ||A e_j||)^2``
+    with a norm that forms no square. Zero columns cannot improve anything.
+    Returns the scored keys, their rho, and the keys of zero columns, each
+    in ``cand`` order.
     """
     cand = np.asarray(cand, dtype=np.int64)
     n = a.n_cols
     if col_sqnorms is None:
-        col_sqnorms = np.bincount(a.entry_cols(), weights=a.values ** 2, minlength=n)
+        col_sqnorms = _col_sqnorms(a)
+    # nonempty columns whose ||A e_j||^2 is not a normal float
+    odd = ~((col_sqnorms >= _TINY) & (col_sqnorms < np.inf)) & (a.per_col_nnz > 0)
+    norms = np.zeros(n)
+    if odd.any():
+        norms[odd] = _col_norms(a, np.flatnonzero(odd))
     r = _scipy_csc(r)
     owner, col = key_parts(cand, n)
-    live = col_sqnorms[col] != 0.0
+    live = (odd | (col_sqnorms != 0.0))[col]
     scored, owner, col = cand[live], owner[live], col[live]
     keys, sums = _keys(a._scipy.T @ r)     # a dot that sums to exactly 0 is not stored
     keys, sums = np.append(keys, -1), np.append(sums, 0.0)   # -1: the key of none
     at = np.searchsorted(keys[:-1], scored)
     dots = np.where(keys[at] == scored, sums[at], 0.0)
     r2 = np.bincount(owners(r.indptr), weights=r.data * r.data, minlength=r.shape[1])
-    rho = np.sqrt(np.maximum(r2[owner] - dots * dots / col_sqnorms[col], 0.0))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        gain = dots * dots / col_sqnorms[col]      # wrong where the column is odd
+    if odd.any():
+        at = odd[col]
+        gain[at] = (dots[at] / norms[col[at]]) ** 2
+    rho = np.sqrt(np.maximum(r2[owner] - gain, 0.0))
     return scored, rho, cand[~live]
 
 
@@ -195,7 +220,7 @@ def _lockstep(a: CscMatrix, ks: np.ndarray, cfg: SpaiConfig):
     and the records of :class:`SpaiReport` with the final ``pattern``.
     """
     n, n_t = a.n_cols, len(ks)
-    col_sqnorms = np.bincount(a.entry_cols(), weights=a.values ** 2, minlength=n)
+    col_sqnorms = _col_sqnorms(a)
     start = np.flatnonzero(a.per_col_nnz[ks])
     ws = ls_init(a, ks, (start, ks[start]), max_workspace_bytes=cfg.max_workspace_bytes)
 
@@ -223,7 +248,7 @@ def _lockstep(a: CscMatrix, ks: np.ndarray, cfg: SpaiConfig):
         live &= n_live > 0          # no (live) candidate can touch the residual: stuck
         if not live.any():
             break
-        order = np.lexsort((p_cols, rho, p_owner))
+        order = np.lexsort((rho, p_owner))      # keys are sorted: ties keep column order
         start = np.cumsum(n_live) - n_live
         pick = order[np.arange(len(order)) - start[p_owner[order]] < cfg.mn]
         if cfg.record_choices:

@@ -61,6 +61,12 @@ def pointers(owner: np.ndarray, n: int) -> np.ndarray:
     return np.concatenate(([0], np.cumsum(np.bincount(owner, minlength=n))))
 
 
+def ranges(start: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """The runs ``start[i] ... start[i] + length[i] - 1``, one after another."""
+    ends = np.cumsum(length)
+    return np.arange(ends[-1] if len(ends) else 0) + np.repeat(start - ends + length, length)
+
+
 def key_parts(keys: np.ndarray, inner_dim: int) -> tuple[np.ndarray, np.ndarray]:
     """``(outer, inner)`` of the keys ``outer * inner_dim + inner``."""
     outer = keys // inner_dim
@@ -196,7 +202,7 @@ class CscMatrix:
         starts = self.col_ptr[cols]
         counts = self.col_ptr[cols + 1] - starts
         pos = np.arange(len(cols), dtype=np.int64).repeat(counts)
-        idx = np.arange(len(pos)) - (counts.cumsum() - counts - starts)[pos]
+        idx = ranges(starts, counts)
         return self.row_idx[idx], self.values[idx], pos
 
     def entry_cols(self) -> np.ndarray:

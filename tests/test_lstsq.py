@@ -274,3 +274,78 @@ def test_one_column_builds_at_extreme_scales(scale):
     assert np.array_equal(m_scaled.row_idx, m.row_idx)
     back = CscMatrix(m.n_rows, m.n_cols, m.col_ptr, m.row_idx, m_scaled.values * scale)
     assert column_value_difference(back, m) <= 1e-14
+
+
+def stacked_block(rng, p: int, height: int) -> tuple[np.ndarray, int]:
+    """A block of the class (p, height), maybe with stored zeros, at a scale in
+    1e-150..1e150, and its row k."""
+    m = int(rng.integers(max(p, height - 7), height + 1))
+    block = rng.standard_normal((m, p)) * (rng.random((m, p)) < rng.choice([0.5, 0.8, 1.0]))
+    if rng.random() < 0.1:                              # a dependent column
+        block[:, rng.integers(1, p)] = block[:, 0] * rng.choice([0.0, 2.0])
+    return block * 10.0 ** rng.uniform(-150, 150), int(rng.integers(m))
+
+
+def stack_of(blocks: list, p: int, height: int) -> np.ndarray:
+    stack = np.zeros((len(blocks), height, p + 1))
+    for s, (block, k) in enumerate(blocks):
+        stack[s, :len(block), :p] = block
+        stack[s, k, p] = 1.0
+    return stack
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1))
+def test_stacked_solve_matches_householder(seed):
+    rng = np.random.default_rng(seed)
+    p = int(rng.integers(2, 9))
+    height = 8 * int(rng.integers(-(-p // 8), 7))
+    blocks = [stacked_block(rng, p, height) for _ in range(int(rng.integers(1, 7)))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        y, ok = lstsq._stack_solve(stack_of(blocks, p, height), p)
+        y_rev, ok_rev = lstsq._stack_solve(stack_of(blocks[::-1], p, height), p)
+        assert np.array_equal(ok_rev, ok[::-1])
+        assert y_rev.tobytes() == y[::-1].tobytes()   # bits do not depend on the stack
+        row = iter(y)
+        for s, (block, k) in enumerate(blocks):
+            alone, ok_alone = lstsq._stack_solve(stack_of([(block, k)], p, height), p)
+            assert ok_alone[0] == ok[s]
+            if not ok[s]:
+                continue
+            y_s = next(row)
+            assert y_s.tobytes() == alone[0].tobytes()
+            y_h, active = lstsq._householder_solve(block, np.arange(len(block)) == k)
+            assert list(active) == list(range(p))
+            # a backward-stable solve's error scales with the condition number
+            tol = 4 * len(block) * np.finfo(float).eps * np.linalg.cond(block) / np.abs(block).max()
+            assert np.abs(y_s - y_h).max() <= tol
+
+
+def test_blocks_no_stack_solves_match_householder_exactly():
+    # dependent (column 1 = 2 * column 0), short (3 x 5) and over half a
+    # stack (120 x 40) blocks, with a stacked one, on the diagonal of A
+    rng = np.random.default_rng(5)
+    blocks = [rng.standard_normal(shape) + 3.0 for shape in ((6, 3), (3, 5), (120, 40), (9, 4))]
+    blocks[0][:, 1] = 2.0 * blocks[0][:, 0]
+    n_rows, n_cols = (sum(x) for x in zip(*(b.shape for b in blocks)))
+    dense = np.zeros((n_rows, n_cols))
+    r0 = c0 = 0
+    ks, owner, cols, spans = [], [], [], []
+    for t, b in enumerate(blocks):
+        dense[r0:r0 + b.shape[0], c0:c0 + b.shape[1]] = b
+        ks.append(r0 + 1)
+        owner += [t] * b.shape[1]
+        cols += range(c0, c0 + b.shape[1])
+        spans.append(slice(c0, c0 + b.shape[1]))
+        r0, c0 = r0 + b.shape[0], c0 + b.shape[1]
+    ws = ls_init(CscMatrix.from_dense(dense), np.array(ks), (np.array(owner), np.array(cols)))
+    for t, b in enumerate(blocks):
+        got = ws.solution(t).to_dense()[spans[t]]
+        y, active = lstsq._householder_solve(b, (np.arange(len(b)) == 1).astype(np.float64))
+        want = np.zeros(b.shape[1])
+        want[active] = y
+        if t < 3:
+            assert got.tobytes() == want.tobytes(), t
+        else:
+            assert np.abs(got - want).max() <= 1e-12

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,9 +7,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.sparse import csc_matrix
 
-from saikit import CscMatrix, SpaiConfig, spai_candidates, spai_column, spai_profitability
+from saikit import (CscMatrix, SpaiConfig, generate_test_matrix, spai_candidates, spai_column,
+                    spai_profitability)
 from saikit.spai import spai
 from .conftest import random_dominant, tridiagonal, with_dense_column
+from .test_lstsq_reference import column_value_difference
 
 
 def residuals(*r) -> csc_matrix:
@@ -262,3 +266,32 @@ class TestIrregularityCounters:
         _, rep_a = spai(a, cfg)
         _, rep_t = spai(sys_.a_tilde, cfg)
         assert rep_a.max_candidates >= 10 * max(rep_t.max_candidates, 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1))
+def test_pick_order_needs_no_column_key(seed):
+    # the scored keys come sorted by (owner, col), so a stable sort on
+    # (owner, rho) breaks rho ties by column, as the three-key sort does
+    rng = np.random.default_rng(seed)
+    n_t, n = int(rng.integers(1, 6)), int(rng.integers(1, 30))
+    keys = np.unique(rng.integers(0, n_t * n, size=int(rng.integers(0, 3 * n))))
+    owner, cols = keys // n, keys % n
+    rho = rng.choice(rng.random(int(rng.integers(1, 4))), size=len(keys))   # many ties
+    assert np.array_equal(np.lexsort((rho, owner)), np.lexsort((cols, rho, owner)))
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e155, 1e-155, 1e-170])
+def test_builds_at_extreme_scales(scale):
+    # ||A e_j||^2 and the squared dots overflow, are subnormal or underflow
+    # to 0 here; those candidates are scored by (dot / ||A e_j||)^2
+    a = generate_test_matrix("dominant-row", 80, planted_dense_cols=2, seed=7)
+    scaled = CscMatrix(a.n_rows, a.n_cols, a.col_ptr, a.row_idx, a.values * scale)
+    cfg = SpaiConfig(delta=0.2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m, m_scaled = spai(a, cfg)[0], spai(scaled, cfg)[0]
+    assert np.array_equal(m_scaled.col_ptr, m.col_ptr)
+    assert np.array_equal(m_scaled.row_idx, m.row_idx)
+    back = CscMatrix(m.n_rows, m.n_cols, m.col_ptr, m.row_idx, m_scaled.values * scale)
+    assert column_value_difference(back, m) <= 1e-14
