@@ -46,7 +46,7 @@ def _add_build_flags(p: argparse.ArgumentParser, with_method: bool = True) -> No
     p.add_argument("--threads", type=int, default=1,
                    help="preconditioner build only: worker threads for spai and psai, "
                         "which build at least this many contiguous column chunks of at "
-                        "most 512 columns, each in lockstep; the solves run serially")
+                        "most 2048 columns, each in lockstep; the solves run serially")
     p.add_argument("-ep", "--delta", type=float, default=0.4,
                    help="residual tolerance per preconditioner column")
     p.add_argument("-mn", "--mn", type=int, default=5,

@@ -83,14 +83,18 @@ class PsaiReport(_Report):
 
 def psai_tol(delta: float, nnz_mk: int | np.ndarray,
              a_norm1: float) -> float | np.ndarray:
-    """Adaptive drop tolerance delta / (nnz(m_k) * ||A||_1), of one column or of each."""
+    """Adaptive drop tolerance delta / (nnz(m_k) * ||A||_1), of one column or of each.
+
+    It divides twice: the product ``nnz(m_k) * ||A||_1`` would overflow
+    for ``||A||_1`` near the top of the float range.
+    """
     if np.any(np.asarray(nnz_mk) < 1):
         raise ValueError("nnz_mk must be at least 1")
     if a_norm1 <= 0.0:
         raise ValueError("matrix 1-norm must be positive")
     if delta <= 0.0:
         raise ValueError("delta must be positive")
-    return delta / (nnz_mk * a_norm1)
+    return delta / nnz_mk / a_norm1
 
 
 def _pattern_step(a: CscMatrix, owner: np.ndarray, cols: np.ndarray,
@@ -185,7 +189,7 @@ def psai(a: CscMatrix, cfg: PsaiConfig | None = None, threads: int = 1,
          dropping: bool = True) -> tuple[CscMatrix, PsaiReport]:
     """Assemble the preconditioner, all columns in lockstep; failures stay local.
 
-    The columns are cut into contiguous chunks of at most 512, and at
+    The columns are cut into contiguous chunks of at most 2048, and at
     least ``threads`` of them, each built as one lockstep batch on
     ``threads`` worker threads (see ``spai._build_columns``).
     """

@@ -27,8 +27,9 @@ from .lstsq import _TINY, WorkspaceGuardError, ls_init
 from .sparse_core import CscMatrix, SparseVector, key_parts, member, owners, pointers
 
 # Columns per lockstep batch at most: a batch holds the subproblems of all
-# its columns at once, so its memory grows with its size.
-_BATCH_COLUMNS = 512
+# its columns at once, so its memory grows with its size, and each batch
+# pays a loop's fixed cost once.
+_BATCH_COLUMNS = 2048
 
 
 @dataclass
@@ -211,16 +212,16 @@ def spai_profitability(a: CscMatrix, r, cand, col_sqnorms: np.ndarray | None = N
     return scored, rho, cand[~live]
 
 
-def _lockstep(a: CscMatrix, ks: np.ndarray, cfg: SpaiConfig):
+def _lockstep(a: CscMatrix, ks: np.ndarray, cfg: SpaiConfig, col_sqnorms: np.ndarray):
     """Grow the columns ``ks`` together, each loop one batch step for all.
 
     Column k starts at {k}, or with no column when column k of A is empty
-    (no start can fit it). Returns what :func:`_build_columns` joins: the
-    failures, final residual norms and loop counts by position in ``ks``,
-    and the records of :class:`SpaiReport` with the final ``pattern``.
+    (no start can fit it). ``col_sqnorms`` is :func:`_col_sqnorms` of A.
+    Returns what :func:`_build_columns` joins: the failures, final
+    residual norms and loop counts by position in ``ks``, and the records
+    of :class:`SpaiReport` with the final ``pattern``.
     """
     n, n_t = a.n_cols, len(ks)
-    col_sqnorms = _col_sqnorms(a)
     start = np.flatnonzero(a.per_col_nnz[ks])
     ws = ls_init(a, ks, (start, ks[start]), max_workspace_bytes=cfg.max_workspace_bytes)
 
@@ -268,8 +269,9 @@ def spai_column(a: CscMatrix, k: int, cfg: SpaiConfig) -> ColumnResult:
     """
     if not 0 <= k < a.n_cols:
         raise ValueError("target index k out of range")
+    sq = _col_sqnorms(a)
     return SpaiReport(delta=cfg.delta,
-                      **_build_columns(a, 1, lambda ks: _lockstep(a, ks, cfg), k)).columns[0]
+                      **_build_columns(a, 1, lambda ks: _lockstep(a, ks, cfg, sq), k)).columns[0]
 
 
 def _build_columns(a: CscMatrix, threads: int, lockstep, k: int | None = None) -> dict:
@@ -328,6 +330,7 @@ def spai(a: CscMatrix, cfg: SpaiConfig | None = None,
     build the column chunks, as for ``psai`` (see :func:`_build_columns`).
     """
     cfg = cfg or SpaiConfig()
+    sq = _col_sqnorms(a)
     report = SpaiReport(delta=cfg.delta,
-                        **_build_columns(a, threads, lambda ks: _lockstep(a, ks, cfg)))
+                        **_build_columns(a, threads, lambda ks: _lockstep(a, ks, cfg, sq)))
     return report.m, report

@@ -18,6 +18,8 @@ from hypothesis import strategies as st
 
 from saikit import (CscMatrix, PsaiConfig, SpaiConfig, generate_test_matrix, ls_init,
                     permute_rows, psai_column, spai_column)
+from saikit import psai as saikit_psai
+from saikit import spai as saikit_spai
 from saikit.psai import psai
 from saikit.spai import spai
 
@@ -186,7 +188,7 @@ def test_spai_result_does_not_depend_on_the_batch(kind, shuffled):
 def test_batches_of_bounded_size_give_the_same_preconditioner(monkeypatch):
     a = generate_test_matrix("m-matrix", 30, planted_dense_cols=1, seed=4)
     whole, _ = psai(a, PsaiConfig(delta=0.1))
-    monkeypatch.setattr(sys.modules["saikit.spai"], "_BATCH_COLUMNS", 7)
+    monkeypatch.setattr(saikit_spai, "_BATCH_COLUMNS", 7)
     assert psai(a, PsaiConfig(delta=0.1))[0].same_as(whole)
 
 
@@ -196,8 +198,76 @@ def test_spai_batches_of_bounded_size_give_the_same_preconditioner(kind, shuffle
                                                                    monkeypatch):
     a = batch_input(kind, shuffled, n=30)
     whole, _ = spai(a, SpaiConfig(delta=0.1))
-    monkeypatch.setattr(sys.modules["saikit.spai"], "_BATCH_COLUMNS", 7)
+    monkeypatch.setattr(saikit_spai, "_BATCH_COLUMNS", 7)
     assert spai(a, SpaiConfig(delta=0.1))[0].same_as(whole)
+
+
+def assert_same_report(got, want) -> None:
+    """Two build reports with the same M and the same flat records, bit for bit."""
+    assert got.m.same_as(want.m)
+    for f in fields(want):
+        if f.name == "m":
+            continue
+        g, w = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(w, tuple):
+            assert [(x.dtype, x.tobytes()) for x in g] == [(x.dtype, x.tobytes()) for x in w]
+        elif isinstance(w, np.ndarray):
+            assert (g.dtype, g.tobytes()) == (w.dtype, w.tobytes())
+        else:
+            assert g == w
+
+
+BUILDS = {"psai": (psai, PsaiConfig(delta=0.1)),
+          "spai": (spai, SpaiConfig(delta=0.1, record_choices=True))}
+
+
+def built_chunks(monkeypatch, method: str) -> list[list[int]]:
+    """The column chunks the builds of ``method`` hand to its lockstep batches, as they start."""
+    module = saikit_psai if method == "psai" else saikit_spai
+    lockstep, chunks = module._lockstep, []
+
+    def recorded(a, ks, *args):
+        chunks.append(ks.tolist())
+        return lockstep(a, ks, *args)
+
+    monkeypatch.setattr(module, "_lockstep", recorded)
+    return chunks
+
+
+def assert_same_columns(got, want) -> None:
+    """Two build reports with the same M and the same column results, bit for bit."""
+    assert got.m.same_as(want.m)
+    for g, w in zip(got.columns, want.columns, strict=True):
+        assert_same_column(g, w)
+
+
+@pytest.mark.parametrize("method", ["psai", "spai"])
+def test_dense_column_under_a_small_cap(method, monkeypatch):
+    a = generate_test_matrix("dominant-row", 30, planted_dense_cols=1, seed=4)
+    assert a.per_col_nnz.max() == 30
+    build, cfg = BUILDS[method]
+    _, whole = build(a, cfg)
+    monkeypatch.setattr(saikit_spai, "_BATCH_COLUMNS", 7)
+    chunks, reports = built_chunks(monkeypatch, method), []
+    for threads in (1, 2, 3):
+        chunks.clear()
+        reports.append(build(a, cfg, threads=threads)[1])
+        got = sorted(chunks)            # workers may start out of order
+        assert got == [list(range(lo, lo + 6)) for lo in range(0, 30, 6)]
+    for rep in reports:
+        assert_same_report(rep, reports[0])     # the same chunks, so the same records
+    assert_same_columns(reports[0], whole)
+
+
+@pytest.mark.parametrize("method", ["psai", "spai"])
+@pytest.mark.parametrize("threads", [1, 3])
+def test_no_columns_is_one_empty_batch(method, threads, monkeypatch):
+    build, cfg = BUILDS[method]
+    chunks = built_chunks(monkeypatch, method)
+    m, rep = build(CscMatrix.empty(0, 0), cfg, threads=threads)
+    assert chunks == [[]]
+    assert (m.n_rows, m.n_cols, m.nnz) == (0, 0, 0)
+    assert rep.columns == [] and rep.errors == [] and len(rep.residuals) == 0
 
 
 def target_state(ws, t: int):

@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from saikit import (CscMatrix, PsaiConfig, SpaiConfig, bpsai_column, norm1, psai_column,
-                    psai_tol)
+from saikit import (CscMatrix, PsaiConfig, SpaiConfig, bpsai_column, generate_test_matrix,
+                    norm1, psai_column, psai_tol)
 from saikit.psai import psai
 from . import loop_reference
 from .conftest import random_dominant, tridiagonal
@@ -40,6 +42,18 @@ class TestTol:
         got = psai_tol(0.1, nnz, 3.7)
         want = [psai_tol(0.1, int(k), 3.7) for k in nnz]
         assert [np.float64(t).tobytes() for t in got] == [np.float64(t).tobytes() for t in want]
+
+    def test_huge_matrix_keeps_the_unscaled_pattern(self):
+        # nnz(m_k) * ||A||_1 overflows for ||A||_1 near the top of the float range
+        a = generate_test_matrix("dominant-row", 80, planted_dense_cols=2, seed=7)
+        huge = CscMatrix(a.n_rows, a.n_cols, a.col_ptr, a.row_idx, a.values * 1e307)
+        want, _ = psai(a, PsaiConfig(delta=0.1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, _ = psai(huge, PsaiConfig(delta=0.1))
+        assert want.nnz == 922
+        assert np.array_equal(got.col_ptr, want.col_ptr)
+        assert np.array_equal(got.row_idx, want.row_idx)
 
     def test_all_zero_matrix_fails_every_column(self):
         m, report = psai(CscMatrix.empty(4, 4))
