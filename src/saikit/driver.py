@@ -217,9 +217,9 @@ def _apply_preprocess(a: CscMatrix, b: np.ndarray,
 def _finish_report(a0: CscMatrix, b0: np.ndarray, x_hat: np.ndarray,
                    cfg: DriverConfig, outcomes: list[SolveOutcome], stats: dict,
                    cond: float, posthoc_c: float | None) -> SolveReport:
-    """Report of the s + 1 solves, ``outcomes[0]`` the one for b."""
+    """Report of the s + 1 solves, ``outcomes[0]`` the one for b; ``rr`` is 0 when b is."""
     norm_b = float(np.linalg.norm(b0))
-    rr = float(np.linalg.norm(b0 - matvec(a0, x_hat))) / norm_b
+    rr = float(np.linalg.norm(b0 - matvec(a0, x_hat))) / norm_b if norm_b else 0.0
     outcome_y, outcomes_w = outcomes[0], outcomes[1:]
     return SolveReport(x_hat=x_hat, rr=rr, a=rr / cfg.epsilon,
                        iter_y=outcome_y.iterations,
@@ -237,12 +237,10 @@ def _finish_report(a0: CscMatrix, b0: np.ndarray, x_hat: np.ndarray,
 
 def _zero_rhs_report(a: CscMatrix, cfg: DriverConfig,
                      m: CscMatrix | None = None) -> SolveReport:
-    stats = _preconditioner_stats(cfg.method, m, a)
-    return SolveReport(x_hat=np.zeros(a.n_cols), rr=0.0, a=0.0, iter_y=0, iter_w=[],
-                       max_iter_used=0, preconditioner_stats=stats,
-                       small_system_condition=1.0, converged=True,
-                       flag_y="converged", flags_w=[], resid_y=0.0, resid_w=[],
-                       s=0, method=cfg.method)
+    """Report of b = 0: x = 0, one converged system with no iteration and no build."""
+    zero = np.zeros(a.n_cols)
+    return _finish_report(a, zero, zero, cfg, [SolveOutcome(zero, 0, 0.0, "converged")],
+                          _preconditioner_stats(cfg.method, m, a), 1.0, None)
 
 
 def _checked_rhs(a: CscMatrix, b: np.ndarray) -> np.ndarray:

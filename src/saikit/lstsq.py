@@ -55,8 +55,10 @@ which the loop solves. A stacked block with a dependent column goes to
 the loop, which applies this rule.
 
 Failures: a single target raises. In a batch, a target whose workspace
-guard trips or whose pattern selects an all-zero submatrix is removed from
-the workspace and its exception is kept in ``errors``; the rest go on.
+guard trips, whose pattern selects an all-zero submatrix, or whose fit
+gives a coefficient that is not finite (a column so small that the
+coefficient overflows float64, such as a lone entry of 1e-310) is removed
+from the workspace and its exception is kept in ``errors``; the rest go on.
 """
 
 from __future__ import annotations
@@ -75,7 +77,8 @@ _qr, _solve = np.linalg.qr, np.linalg.solve
 
 
 class DegeneratePatternError(ValueError):
-    """The requested pattern yields an all-zero subproblem matrix."""
+    """The pattern admits no fit: it is empty, selects an all-zero subproblem
+    matrix, or gives a coefficient that is not finite."""
 
 
 class WorkspaceGuardError(MemoryError):
@@ -110,6 +113,18 @@ def _row_block(rows: np.ndarray, cols: np.ndarray, in_rows: np.ndarray,
         count = grown
 
 
+def is_normal(x: np.ndarray) -> np.ndarray:
+    """Where the sums of squares ``x`` are normal floats: neither under- nor overflowed."""
+    return (x >= _TINY) & (x < np.inf)
+
+
+def _dependent(diag: np.ndarray) -> np.ndarray:
+    """Dependent columns by their ``|R_ii|``, along the last axis of ``diag``."""
+    # a running max that includes column i flags the same columns as one
+    # over the earlier columns only: a new max is flagged only when 0
+    return diag <= _DEPENDENT_TOL * np.maximum.accumulate(diag, axis=-1)
+
+
 def _householder_solve(sub: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares coefficients of ``sub`` and the positions they belong to.
 
@@ -118,16 +133,13 @@ def _householder_solve(sub: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np
     active = np.arange(sub.shape[1])
     qr, tau, _, _ = dgeqrf(sub)
     while True:
-        diag = np.abs(qr.diagonal())
-        # a running max that includes column i flags the same columns as one
-        # over the earlier columns only: a new max is flagged only when 0
-        dependent = diag <= _DEPENDENT_TOL * np.maximum.accumulate(diag)
+        dependent = _dependent(np.abs(qr.diagonal()))
         if not dependent.any():
             break
         active = np.delete(active, dependent.argmax())
         qr, tau, _, _ = dgeqrf(sub[:, active])
-    # with more columns than rows the first len(diag) span the block rows
-    r = len(diag)
+    # with more columns than rows the first len(dependent) span the block rows
+    r = len(dependent)
     z = dormqr("L", "T", qr[:, :r], tau, rhs[:, None], 1)[0]
     y = dtrtrs(qr[:r, :r], z[:r])[0]
     return y[:, 0], active[:r]
@@ -145,7 +157,7 @@ def _one_column_fits(owner: np.ndarray, val: np.ndarray, at_k: np.ndarray,
     with np.errstate(over="ignore"):
         den = np.bincount(owner, weights=val * val, minlength=n_t)
     num = np.bincount(owner, weights=val * at_k, minlength=n_t)
-    ok = (den >= _TINY) & (den < np.inf)
+    ok = is_normal(den)
     return np.divide(num, den, out=np.zeros(n_t), where=ok), ok
 
 
@@ -160,7 +172,7 @@ def _stack_solve(stack: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     """
     r = _qr(stack, mode="r")
     diag = np.abs(np.diagonal(r[:, :p, :p], axis1=1, axis2=2))
-    ok = ~(diag <= _DEPENDENT_TOL * np.maximum.accumulate(diag, axis=1)).any(axis=1)
+    ok = ~_dependent(diag).any(axis=1)
     return _solve(r[ok, :p, :p], r[ok, :p, p:])[:, :, 0], ok
 
 
@@ -202,12 +214,14 @@ def _merge(touched: np.ndarray, old: tuple, new: tuple) -> list[np.ndarray]:
 class LsWorkspace:
     """Least-squares state for a batch of targets over their column patterns.
 
-    ``LsWorkspace(a, k, cols)`` with an integer ``k`` is the batch of one,
-    which raises on failure. With an array of targets ``k``, ``cols`` is
-    the pair ``(owner, cols)`` of the initial patterns, where ``owner``
-    gives the position in ``k`` of each column's target. A failed target
-    keeps its exception in ``errors``, no pattern or residual entries, and a
-    NaN in ``residual_norms``, which the lockstep builds rely on to stop it.
+    Construction solves every target on its initial pattern; ``ls_init``
+    is another name for the class. ``LsWorkspace(a, k, cols)`` with an
+    integer ``k`` is the batch of one, which raises on failure. With an
+    array of targets ``k``, ``cols`` is the pair ``(owner, cols)`` of the
+    initial patterns, where ``owner`` gives the position in ``k`` of each
+    column's target. A failed target keeps its exception in ``errors``, no
+    pattern or residual entries, and a NaN in ``residual_norms``, which the
+    lockstep builds rely on to stop it.
     """
 
     def __init__(self, a: CscMatrix, k, cols,
@@ -385,13 +399,10 @@ class LsWorkspace:
         bad = np.ones(n_t, dtype=bool)
         bad[e_owner[vals != 0.0]] = False             # every value of the pattern is zero
         bad |= guard
-        failed = fitted[bad[fitted]]
-        if len(failed):
-            for t in failed.tolist():
-                self._fail(t, WorkspaceGuardError(int(est[t]), limit) if guard[t] else
-                           DegeneratePatternError("pattern selects an all-zero submatrix"))
-            keep = ~bad[owner]
-            return self._fit(a, owner[keep], cols[keep])
+        if bad[fitted].any():
+            return self._fit_without(a, owner, cols, bad, lambda t: (
+                WorkspaceGuardError(int(est[t]), limit) if guard[t] else
+                DegeneratePatternError("pattern selects an all-zero submatrix")))
 
         at = np.searchsorted(l_keys, keys)
         is_k = np.zeros(len(l_keys), dtype=bool)
@@ -401,8 +412,20 @@ class LsWorkspace:
         if in_cols.any():
             self._solve_blocks(coeffs, in_rows, in_cols, is_k, l_owner, owner, e_owner,
                                at, pos, vals)
+        bad[owner[~np.isfinite(coeffs)]] = True      # a coefficient overflowed
+        if bad[fitted].any():
+            return self._fit_without(a, owner, cols, bad, lambda t: DegeneratePatternError(
+                "pattern gives a coefficient that is not finite"))
         resid, norms = _residual(at, vals * coeffs[pos], is_k, l_owner, n_t)
         return fitted, norms[fitted], (owner, cols, coeffs), (l_owner, l_rows, resid)
+
+    def _fit_without(self, a: CscMatrix, owner: np.ndarray, cols: np.ndarray,
+                     bad: np.ndarray, error):
+        """Fail every target marked in ``bad`` with ``error(t)``, then fit the others."""
+        for t in sorted_unique(owner[bad[owner]]).tolist():
+            self._fail(t, error(t))
+        keep = ~bad[owner]
+        return self._fit(a, owner[keep], cols[keep])
 
     def _solve_blocks(self, coeffs, in_rows, in_cols, is_k, l_owner, owner, e_owner,
                       at, pos, vals) -> None:
@@ -465,10 +488,4 @@ class LsWorkspace:
             coeffs[block_cols[col_start[t] + active]] = y_t
 
 
-def ls_init(a: CscMatrix, k, cols, max_workspace_bytes: int | None = None) -> LsWorkspace:
-    """Factorize and solve the subproblem for target k on the initial pattern ``cols``.
-
-    With an array of targets ``k``, ``cols`` is the pair ``(owner, cols)`` of
-    their initial patterns and the workspace holds the whole batch.
-    """
-    return LsWorkspace(a, k, cols, max_workspace_bytes=max_workspace_bytes)
+ls_init = LsWorkspace

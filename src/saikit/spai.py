@@ -23,7 +23,7 @@ from operator import itemgetter
 import numpy as np
 from scipy.sparse import csc_matrix as _scipy_csc
 
-from .lstsq import _TINY, WorkspaceGuardError, ls_init
+from .lstsq import WorkspaceGuardError, is_normal, ls_init
 from .sparse_core import CscMatrix, SparseVector, key_parts, member, owners, pointers
 
 # Columns per lockstep batch at most: a batch holds the subproblems of all
@@ -80,9 +80,9 @@ class ColumnResult:
 class _Report:
     """A build's flat records; ``columns`` builds the per-column results on first use.
 
-    A record is a tuple of flat arrays, the column first, each column's
-    entries in loop order. A failed column has no record, residual norm
-    1.0, 0 loops and an empty column of ``m``.
+    A record is a tuple of flat arrays, the column first, column after
+    column, each column's entries in loop order. A failed column has no
+    record, residual norm 1.0, 0 loops and an empty column of ``m``.
     """
 
     m: CscMatrix
@@ -95,8 +95,7 @@ class _Report:
     def _by_column(self, record: tuple) -> list[list]:
         """Each column's values of the record's one field, or tuples of several, in order."""
         owner, *fields = record
-        order = np.argsort(owner, kind="stable")
-        values = [f[order].tolist() for f in fields]
+        values = [f.tolist() for f in fields]
         entries = values[0] if len(values) == 1 else list(zip(*values))
         ptr = pointers(owner, len(self.residuals)).tolist()
         return [entries[lo:hi] for lo, hi in zip(ptr[:-1], ptr[1:])]
@@ -190,7 +189,7 @@ def spai_profitability(a: CscMatrix, r, cand, col_sqnorms: np.ndarray | None = N
     if col_sqnorms is None:
         col_sqnorms = _col_sqnorms(a)
     # nonempty columns whose ||A e_j||^2 is not a normal float
-    odd = ~((col_sqnorms >= _TINY) & (col_sqnorms < np.inf)) & (a.per_col_nnz > 0)
+    odd = ~is_normal(col_sqnorms) & (a.per_col_nnz > 0)
     norms = np.zeros(n)
     if odd.any():
         norms[odd] = _col_norms(a, np.flatnonzero(odd))
@@ -282,7 +281,9 @@ def _build_columns(a: CscMatrix, threads: int, lockstep, k: int | None = None) -
     owned by positions in ``ks``, the final ``pattern`` among them).
     ``threads`` worker threads build ``max(threads, ceil(n /
     _BATCH_COLUMNS))`` contiguous chunks; M is assembled from the joined
-    patterns in one step. Column k built alone raises its failure.
+    patterns in one step. Every other record is joined column after column,
+    so it does not depend on the chunks. Column k built alone raises its
+    failure.
     """
     if a.n_rows != a.n_cols and a.n_cols:
         raise ValueError("square matrix required")
@@ -303,13 +304,15 @@ def _build_columns(a: CscMatrix, threads: int, lockstep, k: int | None = None) -
     failed = np.zeros(n, dtype=bool)
     failed[[j for j, _ in failures]] = True
 
-    def join(batches: list) -> tuple:
+    def join(name: str, batches: list) -> tuple:
         owner, *rest = (np.concatenate(f) for f in zip(*[
             (start + o, *more) for start, record in zip(starts, batches) for o, *more in record]))
-        keep = ~failed[owner]
+        keep = np.flatnonzero(~failed[owner])
+        if name != "pattern":       # from_coo orders the pattern by its own key
+            keep = keep[np.argsort(owner[keep], kind="stable")]
         return (owner[keep], *(f[keep] for f in rest))
 
-    records = {name: join([rec[name] for *_, rec in parts]) for name in parts[0][3]}
+    records = {name: join(name, [rec[name] for *_, rec in parts]) for name in parts[0][3]}
     owner, rows, coeffs = records.pop("pattern")
     residuals = np.concatenate([norms for _, norms, _, _ in parts])
     loops = np.concatenate([loops for _, _, loops, _ in parts])
@@ -324,10 +327,11 @@ def spai(a: CscMatrix, cfg: SpaiConfig | None = None,
          threads: int = 1) -> tuple[CscMatrix, SpaiReport]:
     """Approximate inverse of A, all columns in lockstep.
 
-    A column that cannot be computed (zero column, workspace guard) yields
-    its best effort, here the zero vector, and is counted as non-converged
-    rather than aborting the whole matrix. ``threads`` worker threads
-    build the column chunks, as for ``psai`` (see :func:`_build_columns`).
+    A column that cannot be computed (zero column, workspace guard, a fit
+    that overflows) yields its best effort, here the zero vector, and is
+    counted as non-converged rather than aborting the whole matrix.
+    ``threads`` worker threads build the column chunks, as for ``psai``
+    (see :func:`_build_columns`).
     """
     cfg = cfg or SpaiConfig()
     sq = _col_sqnorms(a)

@@ -345,20 +345,20 @@ def transpose(a: CscMatrix) -> CscMatrix:
     return CscMatrix.from_coo(a.n_cols, a.n_rows, a.entry_cols(), a.row_idx, a.values)
 
 
+def abs_sums(a: CscMatrix, axis: int) -> np.ndarray:
+    """Sums of ``|a_ij|`` along ``axis``: one per column for 0, one per row for 1."""
+    index, size = (a.entry_cols(), a.n_cols) if axis == 0 else (a.row_idx, a.n_rows)
+    return np.bincount(index, weights=np.abs(a.values), minlength=size)
+
+
 def norm1(a: CscMatrix) -> float:
     """Maximum absolute column sum (0 for an empty matrix)."""
-    if a.nnz == 0:
-        return 0.0
-    sums = np.bincount(a.entry_cols(), weights=np.abs(a.values), minlength=a.n_cols)
-    return float(sums.max())
+    return float(abs_sums(a, 0).max(initial=0.0))
 
 
 def norm_inf(a: CscMatrix) -> float:
     """Maximum absolute row sum (0 for an empty matrix)."""
-    if a.nnz == 0:
-        return 0.0
-    sums = np.bincount(a.row_idx, weights=np.abs(a.values), minlength=a.n_rows)
-    return float(sums.max())
+    return float(abs_sums(a, 1).max(initial=0.0))
 
 
 def zero_free_diagonal_permutation(a: CscMatrix, always: bool = False) -> np.ndarray:

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.linalg import lu as _dense_lu
 from scipy.sparse.csgraph import connected_components
 
-from .sparse_core import CscMatrix, column_stats
+from .sparse_core import CscMatrix, abs_sums, column_stats
 
 _M_MATRIX_DENSE_CUTOFF = 400
 STRATEGIES = ("nearest", "largest")    # which entries an irregular column keeps
@@ -121,17 +121,10 @@ def reconstruct(sys: SplitSystem) -> CscMatrix:
 # -- classifiers -----------------------------------------------------------
 
 
-def _row_margins(a: CscMatrix) -> np.ndarray:
-    """beta_i = |a_ii| - sum_{j != i} |a_ij| for every row."""
+def _margins(a: CscMatrix, axis: int) -> np.ndarray:
+    """beta_i = |a_ii| - sum_{j != i} |a_ij| for every row (axis 1) or column (axis 0)."""
     absdiag = np.abs(a.diagonal())
-    rowsums = np.bincount(a.row_idx, weights=np.abs(a.values), minlength=a.n_rows)
-    return absdiag - (rowsums - absdiag)
-
-
-def _col_margins(a: CscMatrix) -> np.ndarray:
-    absdiag = np.abs(a.diagonal())
-    colsums = np.bincount(a.entry_cols(), weights=np.abs(a.values), minlength=a.n_cols)
-    return absdiag - (colsums - absdiag)
+    return absdiag - (abs_sums(a, axis) - absdiag)
 
 
 def _strongly_connected(a: CscMatrix) -> bool:
@@ -145,25 +138,24 @@ def _strongly_connected(a: CscMatrix) -> bool:
     return connected_components(a._scipy, directed=True, connection="strong")[0] == 1
 
 
-def classify(a: CscMatrix,
-             m_matrix_dense_cutoff: int = _M_MATRIX_DENSE_CUTOFF) -> MatrixClassReport:
+def classify(a: CscMatrix) -> MatrixClassReport:
     """Dominance, irreducibility and M-matrix flags for a square matrix.
 
     The M-matrix flag combines the sign-pattern test with an
     inverse-nonnegativity certificate computed densely; above
-    ``m_matrix_dense_cutoff`` only the sign pattern is checked and
+    ``_M_MATRIX_DENSE_CUTOFF`` rows only the sign pattern is checked and
     ``m_matrix_certified`` is False.
     """
     if a.n_rows != a.n_cols:
         raise ValueError("square matrix required")
-    beta = _row_margins(a)
-    gamma = _col_margins(a)
+    beta = _margins(a, 1)
+    gamma = _margins(a, 0)
     diag = a.diagonal()
     off_mask = a.row_idx != a.entry_cols()
     sign_ok = bool(np.all(diag > 0.0) and np.all(a.values[off_mask] <= 0.0))
     certified = False
     m_matrix = sign_ok
-    if sign_ok and a.n_rows <= m_matrix_dense_cutoff:
+    if sign_ok and a.n_rows <= _M_MATRIX_DENSE_CUTOFF:
         certified = True
         try:
             inv = np.linalg.inv(a.to_dense())
@@ -186,8 +178,8 @@ def dominance_margins(a: CscMatrix, a_tilde: CscMatrix,
     inputs strictly row diagonally dominant; margins of the sparsified
     matrix can never fall below those of the original.
     """
-    beta = _row_margins(a)
-    beta_tilde = _row_margins(a_tilde)
+    beta = _margins(a, 1)
+    beta_tilde = _margins(a_tilde, 1)
     if beta.min() <= 0.0 or beta_tilde.min() <= 0.0:
         raise ValueError("both matrices must be strictly row diagonally dominant")
     if np.any(beta_tilde < beta - 1e-12 * np.maximum(1.0, np.abs(beta))):

@@ -263,6 +263,16 @@ class TestSolveIrregular:
     def test_zero_rhs_shortcut(self):
         rep = solve_irregular(CscMatrix.identity(5), np.zeros(5))
         assert rep.rr == 0.0 and rep.converged
+        stats = {"nnz_m": 0, "spar": 0.0, "t_setup": 0.0, "guard_hits": 0, "l_m": 0,
+                 "n_failed": 0}
+        assert rep.to_dict() == {
+            "rr": 0.0, "a": 0.0, "iter_y": 0, "iter_w": [], "max_iter_used": 0,
+            "preconditioner_stats": stats, "small_system_condition": 1.0, "converged": True,
+            "flag_y": "converged", "flags_w": [], "resid_y": 0.0, "resid_w": [], "s": 0,
+            "method": "psai", "posthoc_c": None, "schema_version": driver.SCHEMA_VERSION,
+            "x_hat": [0.0] * 5}
+        normal = solve_irregular(CscMatrix.identity(5), np.ones(5))
+        assert list(rep.to_dict()) == list(normal.to_dict())
 
     @pytest.mark.parametrize("solve", [solve_irregular, solve_standard])
     @pytest.mark.parametrize("method", ["spai", "psai"])

@@ -64,6 +64,11 @@ class TestInit:
         with pytest.raises(DegeneratePatternError):
             ls_init(a, 1, [1])
 
+    def test_overflowing_coefficient(self):
+        # ||a||^2 underflows, so the QR fits 1 / 1e-310, which overflows
+        with pytest.raises(DegeneratePatternError, match="not finite"):
+            ls_init(CscMatrix.from_dense([[1e-310]]), 0, [0])
+
     def test_workspace_guard(self):
         a = CscMatrix.from_dense(np.eye(50))
         with pytest.raises(WorkspaceGuardError):
@@ -140,6 +145,17 @@ class TestBatchFailure:
         assert np.isfinite(ws.residual_norms[0])
         assert not (ws.pattern()[0] == 1).any()
         assert not (ws.residuals()[0] == 1).any()
+
+    def test_overflowing_coefficient_fails_alone(self):
+        a = CscMatrix.from_dense(np.diag([2.0, 1e-310, 4.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ws = ls_init(a, np.arange(3), (np.arange(3), np.arange(3)))
+        assert list(ws.errors) == [1] and isinstance(ws.errors[1], DegeneratePatternError)
+        assert np.isnan(ws.residual_norms[1])
+        assert ws.residual_norms[[0, 2]].tolist() == [0.0, 0.0]
+        owner, cols, coeffs = ws.pattern()
+        assert owner.tolist() == [0, 2] and coeffs.tolist() == [0.5, 0.25]
 
 
 class TestDrop:

@@ -139,8 +139,7 @@ class TestClassify:
         assert not rep.irreducible
 
     def test_cutoff_leaves_m_matrix_uncertified(self):
-        a = generate_test_matrix("m-matrix", 12, seed=0)
-        rep = classify(a, m_matrix_dense_cutoff=5)
+        rep = classify(generate_test_matrix("m-matrix", 401, seed=0))   # one row over the cutoff
         assert rep.m_matrix and not rep.m_matrix_certified
 
 
