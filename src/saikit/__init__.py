@@ -9,23 +9,20 @@ solution through the low-rank update formula with a controllable residual
 budget.
 """
 
-from .driver import (AssemblyError, DriverConfig, SingularUpdateError, SolveReport,
-                     assemble_solution, smw_inverse_apply, solve_irregular,
-                     solve_standard, subsystem_tolerances)
+from .driver import (AssemblyError, DriverConfig, SolveReport, assemble_solution,
+                     solve_irregular, solve_standard, subsystem_tolerances)
 from .krylov import BlockOutcome, SolveOutcome, bicgstab
 from .lstsq import DegeneratePatternError, LsWorkspace, WorkspaceGuardError, ls_init
 # The build functions spai and psai are not re-exported: saikit.spai and
 # saikit.psai name their modules.
-from .psai import PsaiColumnResult, PsaiConfig, PsaiReport, bpsai_column, psai_column, psai_tol
-from .spai import (ColumnResult, SpaiConfig, SpaiReport, spai_candidates, spai_column,
-                   spai_profitability)
+from .psai import PsaiColumnResult, PsaiConfig, PsaiReport, psai_tol
+from .spai import ColumnResult, SpaiConfig, SpaiReport, spai_candidates, spai_profitability
 from .sparse_core import (ColumnStats, CscMatrix, MatrixMarketError, SparseVector,
                           StructurallySingularError, UnsupportedFieldError,
-                          column_stats, matvec, matvec_t, norm1, norm_inf,
-                          permute_rows, read_matrix_market, transpose,
-                          write_matrix_market, zero_free_diagonal_permutation)
+                          column_stats, matvec, norm1, norm_inf, permute_rows,
+                          read_matrix_market, transpose, write_matrix_market,
+                          zero_free_diagonal_permutation)
 from .splitting import (MatrixClassReport, SplitSystem, ZeroDiagonalError, classify,
-                        condition_estimates, dense_lu_min_pivot, dominance_margins,
-                        generate_test_matrix, reconstruct, split)
+                        condition_estimates, dominance_margins, generate_test_matrix, split)
 
 __version__ = "0.1.0"

@@ -303,8 +303,7 @@ def main(argv=None) -> int:
             with open(args.output, "w") as fh:
                 fh.write(text + "\n")
         return code
-    except (StructurallySingularError, _driver.SingularUpdateError,
-            _driver.AssemblyError, DegeneratePatternError,
+    except (StructurallySingularError, _driver.AssemblyError, DegeneratePatternError,
             WorkspaceGuardError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -8,9 +8,9 @@ residual, and recovery of x through the low-rank update formula. The
 report always carries the relative residual recomputed against the
 original A and b, never the solver's own estimate.
 
-The s-by-s update system I + V^T W is solved in :func:`assemble_solution`,
-which :func:`smw_inverse_apply` runs on exact solves. Only the posthoc
-estimate of c solves it on its own, and stops there when it is singular.
+The s-by-s update system I + V^T W is solved in :func:`assemble_solution`.
+Only the posthoc estimate of c solves it on its own, and stops there when
+it is singular.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass, field, fields
-from typing import Callable
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
@@ -31,10 +30,6 @@ from .splitting import STRATEGIES, split
 
 SCHEMA_VERSION = 1
 POSTHOC_ROUNDS = 8  # posthoc re-solve rounds before the solves are kept as they are
-
-
-class SingularUpdateError(ValueError):
-    """The s-by-s update system I + V^T (A_tilde^{-1} U) is singular."""
 
 
 class AssemblyError(ValueError):
@@ -94,37 +89,11 @@ class SolveReport:
     method: str
     posthoc_c: float | None = None
 
-    def to_dict(self, include_solution: bool = True) -> dict:
+    def to_dict(self) -> dict:
         out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "x_hat"}
         out["schema_version"] = SCHEMA_VERSION
-        if include_solution:
-            out["x_hat"] = [float(v) for v in self.x_hat]
+        out["x_hat"] = [float(v) for v in self.x_hat]
         return out
-
-
-def smw_inverse_apply(a_tilde_solve: Callable[[np.ndarray], np.ndarray],
-                      u: CscMatrix | np.ndarray,
-                      irregular_cols,
-                      b: np.ndarray) -> np.ndarray:
-    """x = A^{-1} b through exact solves with the sparsified matrix.
-
-    ``a_tilde_solve`` must apply A_tilde^{-1}. Used as the ground-truth
-    recovery path: :func:`assemble_solution` of the exact solves. Raises
-    :class:`SingularUpdateError`, chained to the :class:`AssemblyError`,
-    when the update system is singular (exactly when A itself is singular
-    given a nonsingular A_tilde) or not finite.
-    """
-    b = np.asarray(b, dtype=np.float64)
-    s = len(irregular_cols)
-    y = a_tilde_solve(b)
-    if s == 0:
-        return y
-    u_dense = u.to_dense() if isinstance(u, CscMatrix) else np.asarray(u, dtype=np.float64)
-    w = np.column_stack([a_tilde_solve(u_dense[:, j]) for j in range(s)])
-    try:
-        return assemble_solution(y, w, irregular_cols)[0]
-    except AssemblyError as exc:
-        raise SingularUpdateError(f"update system I + V^T A_tilde^{{-1}} U: {exc}") from exc
 
 
 def assemble_solution(y_hat: np.ndarray, w_hat: np.ndarray,

@@ -12,7 +12,7 @@ All columns advance in lockstep: at each loop every column still above
 delta takes its frontier step in one sparse product, its new columns in
 one augment of a batched least-squares workspace, and its drops in one
 drop refit. A column's result does not depend on which other columns
-share its batch, so ``psai_column`` is the batch of one.
+share its batch.
 """
 
 from __future__ import annotations
@@ -167,22 +167,6 @@ def _lockstep(a: CscMatrix, ks: np.ndarray, cfg: PsaiConfig, a_norm1: float,
             apply_dropping(loop)
     return ws.errors, ws.residual_norms, loops_used, {
         "pattern": [ws.pattern()], "tols": tols, "drops": drops}
-
-
-def psai_column(a: CscMatrix, k: int, cfg: PsaiConfig,
-                a_norm1: float | None = None,
-                dropping: bool = True) -> PsaiColumnResult:
-    """Adaptive power-pattern column, the batch of one; raises on failure."""
-    if a_norm1 is None:
-        a_norm1 = norm1(a)
-    return PsaiReport(delta=cfg.delta, **_build_columns(
-        a, 1, lambda ks: _lockstep(a, ks, cfg, a_norm1, dropping), k)).columns[0]
-
-
-def bpsai_column(a: CscMatrix, k: int, cfg: PsaiConfig,
-                 a_norm1: float | None = None) -> PsaiColumnResult:
-    """Basic power-pattern column: identical growth, no dropping."""
-    return psai_column(a, k, cfg, a_norm1=a_norm1, dropping=False)
 
 
 def psai(a: CscMatrix, cfg: PsaiConfig | None = None, threads: int = 1,

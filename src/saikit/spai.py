@@ -6,10 +6,10 @@ residual norm falls to ``delta`` or the loop cap is hit (Grote and Huckle,
 1997). Every column still growing advances one loop together: one
 structural product finds the candidates, one product A^T R of the
 residuals R scores them, one lexsort picks them and one batched augment
-re-solves. A column's result does not depend on its batch, so
-``spai_column`` is the batch of one. ``_build_columns`` chunks the columns
-for both constructions and assembles M in one step; each loop's history
-stays in flat arrays until a report's ``columns`` is read.
+re-solves. A column's result does not depend on its batch.
+``_build_columns`` chunks the columns for both constructions and
+assembles M in one step; each loop's history stays in flat arrays until a
+report's ``columns`` is read.
 """
 
 from __future__ import annotations
@@ -261,20 +261,8 @@ def _lockstep(a: CscMatrix, ks: np.ndarray, cfg: SpaiConfig, col_sqnorms: np.nda
         "pattern": [ws.pattern()], "norms": norms, "sizes": sizes, "scored": scored}
 
 
-def spai_column(a: CscMatrix, k: int, cfg: SpaiConfig) -> ColumnResult:
-    """Grow the pattern of column k until the residual meets ``delta``; the batch of one.
-
-    An empty column k, or a workspace guard trip, raises its error.
-    """
-    if not 0 <= k < a.n_cols:
-        raise ValueError("target index k out of range")
-    sq = _col_sqnorms(a)
-    return SpaiReport(delta=cfg.delta,
-                      **_build_columns(a, 1, lambda ks: _lockstep(a, ks, cfg, sq), k)).columns[0]
-
-
-def _build_columns(a: CscMatrix, threads: int, lockstep, k: int | None = None) -> dict:
-    """Report fields of every column, or of column k alone, built in lockstep chunks.
+def _build_columns(a: CscMatrix, threads: int, lockstep) -> dict:
+    """Report fields of every column, built in lockstep chunks.
 
     ``lockstep(ks)`` builds columns ``ks`` as one batch and returns its
     failures, final residual norms, loop counts and records (array tuples
@@ -282,13 +270,12 @@ def _build_columns(a: CscMatrix, threads: int, lockstep, k: int | None = None) -
     ``threads`` worker threads build ``max(threads, ceil(n /
     _BATCH_COLUMNS))`` contiguous chunks; M is assembled from the joined
     patterns in one step. Every other record is joined column after column,
-    so it does not depend on the chunks. Column k built alone raises its
-    failure.
+    so it does not depend on the chunks.
     """
     if a.n_rows != a.n_cols and a.n_cols:
         raise ValueError("square matrix required")
-    cols = np.arange(a.n_cols, dtype=np.int64) if k is None else np.array([k])
-    n = len(cols)
+    n = a.n_cols
+    cols = np.arange(n, dtype=np.int64)
     n_chunks = max(threads, -(-n // _BATCH_COLUMNS))
     chunks = np.array_split(cols, max(1, min(n_chunks, n)))
     if threads <= 1:
@@ -299,8 +286,6 @@ def _build_columns(a: CscMatrix, threads: int, lockstep, k: int | None = None) -
     starts = np.cumsum([0] + [len(ks) for ks in chunks]).tolist()
     failures = [(start + t, exc) for start, (errors, *_) in zip(starts, parts)
                 for t, exc in sorted(errors.items())]
-    if k is not None and failures:
-        raise failures[0][1]
     failed = np.zeros(n, dtype=bool)
     failed[[j for j, _ in failures]] = True
 

@@ -333,14 +333,6 @@ def matvec(a: CscMatrix, x) -> np.ndarray:
     return a._scipy @ x
 
 
-def matvec_t(a: CscMatrix, x) -> np.ndarray:
-    """y = A^T x (per-column dot products, deterministic)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (a.n_rows,):
-        raise ValueError("dimension mismatch in transpose matvec")
-    return a._scipy.T @ x
-
-
 def transpose(a: CscMatrix) -> CscMatrix:
     return CscMatrix.from_coo(a.n_cols, a.n_rows, a.entry_cols(), a.row_idx, a.values)
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu as _dense_lu
 from scipy.sparse.csgraph import connected_components
 
 from .sparse_core import CscMatrix, abs_sums, column_stats
@@ -109,15 +108,6 @@ def split(a: CscMatrix, factor: float = 10.0, strategy: str = "nearest",
                        strategy=strategy, p_kept=p_kept)
 
 
-def reconstruct(sys: SplitSystem) -> CscMatrix:
-    """A_tilde + U V^T, for checking the splitting identity."""
-    at, u = sys.a_tilde, sys.u
-    u_cols = np.asarray(sys.irregular_cols, dtype=np.int64)[u.entry_cols()]
-    return CscMatrix.from_coo(at.n_rows, at.n_cols, np.concatenate([at.row_idx, u.row_idx]),
-                              np.concatenate([at.entry_cols(), u_cols]),
-                              np.concatenate([at.values, u.values]))
-
-
 # -- classifiers -----------------------------------------------------------
 
 
@@ -200,12 +190,6 @@ def condition_estimates(a: CscMatrix, max_n: int = 500) -> dict:
     return {"kappa_1": float(np.abs(dense).sum(axis=0).max() * np.abs(inv).sum(axis=0).max())}
 
 
-def dense_lu_min_pivot(a: CscMatrix) -> float:
-    """Smallest absolute pivot of a dense LU, a cheap nonsingularity witness."""
-    _, _, u = _dense_lu(a.to_dense())
-    return float(np.abs(np.diag(u)).min())
-
-
 # -- generators ------------------------------------------------------------
 
 _KINDS = ("dominant-row", "dominant-col", "m-matrix", "irreducible-dd")
@@ -254,8 +238,8 @@ def generate_test_matrix(kind: str, n: int, density: float | None = None,
             r = np.concatenate([np.arange(j), np.arange(j + 1, n)])
             v = signed(n - 1) / n
         else:
-            choices = np.concatenate([np.arange(j), np.arange(j + 1, n)])
-            r = rng.choice(choices, size=min(k_off, n - 1), replace=False)
+            r = rng.choice(n - 1, size=min(k_off, n - 1), replace=False)
+            r = r + (r >= j)        # skip the diagonal
             v = signed(len(r))
         if kind == "irreducible-dd":
             cyc = (j + 1) % n

@@ -13,7 +13,7 @@ place of the method that solves one-column blocks in closed form.
 
 The others are kept as they were, less the argument checks and with the
 matrix passed in, as test oracles for ``spai.spai_profitability``,
-``sparse_core.matvec`` / ``matvec_t`` and ``CscMatrix.diagonal`` /
+``sparse_core.matvec`` and ``CscMatrix.diagonal`` /
 ``has_full_structural_diagonal``. The structural row matching that the
 maximum-product one replaced (``zero_free_diagonal_permutation``), the
 per-line Matrix Market reader, the per-column ``split`` and the two-pass
@@ -47,6 +47,10 @@ driver's ``build_preconditioner``, ``assemble_solution`` and
 ``_finish_report``, which now takes the ``s + 1`` outcomes as one list, and
 solve each list of systems as one block through the driver's
 ``_solve_block`` (``_solve_block`` here stacks the list).
+
+The test-matrix generator, which drew each column's rows from an
+``(n - 1)``-element array, is kept verbatim, its argument checks aside, as
+``generate_test_matrix``.
 """
 
 from __future__ import annotations
@@ -184,15 +188,6 @@ def matvec(a: CscMatrix, x) -> np.ndarray:
         return np.zeros(a.n_rows)
     contrib = a.values * np.repeat(x, a.per_col_nnz)
     return np.bincount(a.row_idx, weights=contrib, minlength=a.n_rows)
-
-
-def matvec_t(a: CscMatrix, x) -> np.ndarray:
-    """y = A^T x, accumulated with ``bincount`` in storage order."""
-    x = np.asarray(x, dtype=np.float64)
-    if a.nnz == 0:
-        return np.zeros(a.n_cols)
-    contrib = a.values * x[a.row_idx]
-    return np.bincount(a.entry_cols(), weights=contrib, minlength=a.n_cols)
 
 
 def diagonal(a: CscMatrix) -> np.ndarray:
@@ -1060,3 +1055,64 @@ def solve_irregular(a: CscMatrix, b: np.ndarray,
     x_hat, cond = driver.assemble_solution(outcome_y.x, w_hat, sys.irregular_cols)
     return _finish_report(a, b, x_hat, cfg, outcome_y, outcomes_w, stats,
                           cond, s, posthoc_c)
+
+
+def generate_test_matrix(kind: str, n: int, density: float | None = None,
+                         planted_dense_cols: int = 0, seed: int = 0) -> CscMatrix:
+    """``splitting.generate_test_matrix``, each column's rows chosen from an array."""
+    if density is None:
+        density = min(1.0, 3.0 / (n - 1))
+    k_off = int(round(density * (n - 1)))
+
+    rng = np.random.default_rng(seed)
+    rows_l, cols_l, vals_l = [], [], []
+    dense_cols = set(int(j) for j in
+                     rng.choice(n, size=planted_dense_cols, replace=False)) \
+        if planted_dense_cols else set()
+
+    def magnitudes(count: int) -> np.ndarray:
+        return rng.uniform(0.1, 1.0, size=count)
+
+    def signed(count: int) -> np.ndarray:
+        mags = magnitudes(count)
+        if kind == "m-matrix":
+            return -mags
+        return mags * rng.choice((-1.0, 1.0), size=count)
+
+    for j in range(n):
+        if j in dense_cols:
+            r = np.concatenate([np.arange(j), np.arange(j + 1, n)])
+            v = signed(n - 1) / n
+        else:
+            choices = np.concatenate([np.arange(j), np.arange(j + 1, n)])
+            r = rng.choice(choices, size=min(k_off, n - 1), replace=False)
+            v = signed(len(r))
+        if kind == "irreducible-dd":
+            cyc = (j + 1) % n
+            if cyc not in set(int(x) for x in r):
+                r = np.concatenate([r, [cyc]])
+                v = np.concatenate([v, signed(1)])
+        rows_l.append(r)
+        cols_l.append(np.full(len(r), j, dtype=np.int64))
+        vals_l.append(v)
+
+    rows = np.concatenate(rows_l)
+    cols = np.concatenate(cols_l)
+    vals = np.concatenate(vals_l)
+
+    abs_rowsums = np.bincount(rows, weights=np.abs(vals), minlength=n)
+    abs_colsums = np.bincount(cols, weights=np.abs(vals), minlength=n)
+    margins = rng.uniform(0.5, 1.5, size=n)
+    if kind in ("dominant-row", "m-matrix"):
+        diag = abs_rowsums + margins
+    elif kind == "dominant-col":
+        diag = abs_colsums + margins
+    else:  # irreducible-dd: weak row dominance, strict in one row
+        diag = abs_rowsums.copy()
+        diag[diag == 0.0] = 1.0
+        diag[int(rng.integers(n))] += margins[0]
+
+    rows = np.concatenate([rows, np.arange(n)])
+    cols = np.concatenate([cols, np.arange(n)])
+    vals = np.concatenate([vals, diag])
+    return CscMatrix.from_coo(n, n, rows, cols, vals)

@@ -5,12 +5,12 @@ import time
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from saikit import (DriverConfig, PsaiConfig, SpaiConfig,
-                    assemble_solution, bpsai_column, classify, column_stats,
-                    dense_lu_min_pivot, generate_test_matrix, matvec, psai_column,
-                    read_matrix_market, smw_inverse_apply, solve_irregular,
-                    spai_column, split, subsystem_tolerances)
+from saikit import (DriverConfig, PsaiConfig, SpaiConfig, assemble_solution, classify,
+                    column_stats, generate_test_matrix, matvec, read_matrix_market,
+                    solve_irregular, split, subsystem_tolerances)
+from saikit.psai import psai
 from saikit.spai import spai
 from .conftest import (dense_split_factor, require_uf, tridiagonal,
                        with_dense_column)
@@ -43,8 +43,9 @@ def test_criterion_1_low_rank_recovery_exactness():
         dense = a.to_dense()
         at_dense = sys_.a_tilde.to_dense()
         b = dense @ rng.uniform(-1.0, 1.0, size=n)
-        x = smw_inverse_apply(lambda v: np.linalg.solve(at_dense, v), sys_.u,
-                              sys_.irregular_cols, b)
+        x, _ = assemble_solution(np.linalg.solve(at_dense, b),
+                                 np.linalg.solve(at_dense, sys_.u.to_dense()),
+                                 sys_.irregular_cols)
         ref = np.linalg.solve(dense, b)
         rel = np.linalg.norm(x - ref) / np.linalg.norm(ref)
         worst = max(worst, rel)
@@ -147,7 +148,8 @@ def test_criterion_3_class_preservation():
             assert flag(classify(a))
             sys_ = split(a, factor=dense_split_factor(a))
             rep_tilde = classify(sys_.a_tilde)
-            if flag(rep_tilde) and dense_lu_min_pivot(sys_.a_tilde) > 0.0:
+            min_pivot = np.abs(np.diag(scipy.linalg.lu(sys_.a_tilde.to_dense())[2])).min()
+            if flag(rep_tilde) and min_pivot > 0.0:
                 preserved += 1
             beta = _row_margins_dense(a.to_dense())
             beta_tilde = _row_margins_dense(sys_.a_tilde.to_dense())
@@ -171,8 +173,10 @@ def test_criterion_4_adaptive_pattern_growth_contract():
         a = generate_test_matrix("dominant-row", n,
                                  seed=int(rng.integers(1 << 31)))
         dense = a.to_dense()
+        _, rep = spai(a, cfg)
+        assert rep.errors == []
         for k in range(n):
-            res = spai_column(a, k, cfg)
+            res = rep.columns[k]
             if res.converged:
                 e = np.zeros(n); e[k] = 1.0
                 true_resid = np.linalg.norm(dense @ res.m_k.to_dense() - e)
@@ -203,11 +207,14 @@ def test_criterion_5_dropping_residual_guarantee():
                                  seed=int(rng.integers(1 << 31)))
         dense = a.to_dense()
         boolean = (np.abs(dense) > 0) | np.eye(n, dtype=bool)
+        _, rep_basic = psai(a, cfg, dropping=False)
+        _, rep = psai(a, cfg)
+        assert rep_basic.errors == [] and rep.errors == []
         for k in range(n):
-            basic = bpsai_column(a, k, cfg)
+            basic = rep_basic.columns[k]
             assert basic.residual_norm <= cfg.delta, \
                 "instance violates the basic-variant precondition"
-            res = psai_column(a, k, cfg)
+            res = rep.columns[k]
             e = np.zeros(n); e[k] = 1.0
             true_resid = np.linalg.norm(dense @ res.m_k.to_dense() - e)
             if true_resid > 2 * cfg.delta:

@@ -2,10 +2,10 @@
 
 ``loop_reference`` keeps the two-key ``from_coo`` and its row order
 check, the per-candidate ``spai_profitability``, the
-``bincount`` products, the per-column diagonal scans, the per-line Matrix
+``bincount`` product, the per-column diagonal scans, the per-line Matrix
 Market reader, the per-column ``split``, the DFS connectivity check and
 the per-column SPAI build, the per-system BiCGStab and the driver's two
-solve paths. ``matvec``, ``matvec_t``, the diagonal, the reader, ``split``, the
+solve paths. ``matvec``, the diagonal, the reader, ``split``, the
 connectivity check and the one split solve path must match them exactly.
 Profitability sums its dot products in another order, so rho may differ at
 rounding level, but the candidates and the SPAI preconditioner built from
@@ -29,7 +29,7 @@ from scipy.sparse import csc_matrix
 
 from saikit import (CscMatrix, DegeneratePatternError, DriverConfig, MatrixMarketError, PsaiConfig,
                     SparseVector, SpaiConfig, bicgstab, generate_test_matrix, ls_init, matvec,
-                    matvec_t, permute_rows, read_matrix_market, solve_irregular, solve_standard,
+                    permute_rows, read_matrix_market, solve_irregular, solve_standard,
                     spai_profitability, split, zero_free_diagonal_permutation)
 from saikit.psai import psai
 from saikit.spai import spai
@@ -208,24 +208,19 @@ def test_products_match_bincount(seed):
     rng = np.random.default_rng(seed)
     a = CscMatrix.from_dense(random_matrix(rng))
     x = rng.standard_normal(a.n_cols)
-    y = rng.standard_normal(a.n_rows)
-    for got, want in ((matvec(a, x), loop_reference.matvec(a, x)),
-                      (matvec_t(a, y), loop_reference.matvec_t(a, y))):
-        assert got.dtype == np.float64 and np.array_equal(got, want)
+    got = matvec(a, x)
+    assert got.dtype == np.float64 and np.array_equal(got, loop_reference.matvec(a, x))
 
 
 @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0), (4, 2), (2, 4)])
 def test_products_of_empty_matrices(shape):
     a = CscMatrix.empty(*shape)
     assert np.array_equal(matvec(a, np.ones(shape[1])), np.zeros(shape[0]))
-    assert np.array_equal(matvec_t(a, np.ones(shape[0])), np.zeros(shape[1]))
 
 
 def test_matvec_dimension_message():
     with pytest.raises(ValueError, match=r"matrix has 3 columns, vector has shape \(4,\)"):
         matvec(CscMatrix.identity(3), np.ones(4))
-    with pytest.raises(ValueError, match="dimension mismatch in transpose matvec"):
-        matvec_t(CscMatrix.empty(3, 2), np.ones(2))
 
 
 @settings(max_examples=200, deadline=None)

@@ -3,8 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from saikit import (CscMatrix, PsaiConfig, SpaiConfig, bpsai_column, generate_test_matrix,
-                    norm1, psai_column, psai_tol)
+from saikit import CscMatrix, PsaiConfig, SpaiConfig, generate_test_matrix, norm1, psai_tol
 from saikit.psai import psai
 from . import loop_reference
 from .conftest import random_dominant, tridiagonal
@@ -74,16 +73,23 @@ class TestConfig:
         assert config(max_workspace_bytes=None).max_workspace_bytes is None
 
 
+def built_columns(a: CscMatrix, cfg: PsaiConfig, dropping: bool = True) -> list:
+    """Every column result of one build of ``a``, which no column fails."""
+    _, rep = psai(a, cfg, dropping=dropping)
+    assert rep.errors == []
+    return rep.columns
+
+
 class TestColumn:
     def test_identity(self):
-        res = psai_column(CscMatrix.identity(5), 3, PsaiConfig())
+        res = built_columns(CscMatrix.identity(5), PsaiConfig())[3]
         assert np.array_equal(res.m_k.to_dense(), np.eye(5)[3])
         assert res.loops_used == 0
         assert res.converged
 
     def test_2x2_exact_after_one_growth(self):
         a = CscMatrix.from_dense([[2.0, 1.0], [0.0, 3.0]])
-        res = psai_column(a, 1, PsaiConfig(delta=0.3))
+        res = built_columns(a, PsaiConfig(delta=0.3))[1]
         assert res.loops_used == 1
         assert np.allclose(res.m_k.to_dense(), [-1 / 6, 1 / 3], atol=1e-12)
         assert res.residual_norm <= 1e-12
@@ -92,8 +98,7 @@ class TestColumn:
         a = tridiagonal(30, diag=3.0)
         dense = a.to_dense()
         cfg = PsaiConfig(delta=0.4, l_max=10)
-        for k in range(30):
-            res = psai_column(a, k, cfg)
+        for k, res in enumerate(built_columns(a, cfg)):
             assert res.converged and res.loops_used <= 10
             e = np.zeros(30); e[k] = 1.0
             assert np.linalg.norm(dense @ res.m_k.to_dense() - e) <= 0.4 + 1e-12
@@ -104,48 +109,43 @@ class TestColumn:
     def test_degenerate_column_mentions_index(self):
         dense = np.eye(4)
         dense[2, 2] = 0.0
-        a = CscMatrix.from_dense(dense)
-        from saikit import DegeneratePatternError
-        with pytest.raises(DegeneratePatternError, match="column 2"):
-            psai_column(a, 2, PsaiConfig())
+        _, rep = psai(CscMatrix.from_dense(dense), PsaiConfig())
+        assert rep.errors == [(2, "DegeneratePatternError: column 2: "
+                                  "pattern selects an all-zero submatrix")]
 
     def test_pivotal_entry_never_dropped(self):
         a = random_dominant(25, seed=3)
-        cfg = PsaiConfig(delta=0.4)
-        for k in range(25):
-            res = psai_column(a, k, cfg)
+        for k, res in enumerate(built_columns(a, PsaiConfig(delta=0.4))):
             assert all(j != k for _, j, _, _ in res.drops)
 
     def test_fixed_tolerance_mode(self):
         a = tridiagonal(12, diag=3.0)
-        res_loose = psai_column(a, 6, PsaiConfig(delta=0.05, tol_policy=0.2, l_max=4))
-        res_tight = psai_column(a, 6, PsaiConfig(delta=0.05, tol_policy=0.0, l_max=4))
+        res_loose = built_columns(a, PsaiConfig(delta=0.05, tol_policy=0.2, l_max=4))[6]
+        res_tight = built_columns(a, PsaiConfig(delta=0.05, tol_policy=0.0, l_max=4))[6]
         assert res_loose.m_k.nnz <= res_tight.m_k.nnz
 
 
 class TestBasicVariant:
     def test_identity(self):
-        res = bpsai_column(CscMatrix.identity(4), 1, PsaiConfig())
+        res = built_columns(CscMatrix.identity(4), PsaiConfig(), dropping=False)[1]
         assert np.array_equal(res.m_k.to_dense(), np.eye(4)[1])
 
     def test_dropping_only_removes(self):
         a = random_dominant(30, seed=9)
         cfg = PsaiConfig(delta=0.2, l_max=6)
-        for k in range(30):
-            basic = bpsai_column(a, k, cfg)
-            dropped = psai_column(a, k, cfg)
-            assert dropped.m_k.nnz <= basic.m_k.nnz
-        assert bpsai_column(a, 0, cfg).dropped_count == 0
+        basic = built_columns(a, cfg, dropping=False)
+        for b, dropped in zip(basic, built_columns(a, cfg)):
+            assert dropped.m_k.nnz <= b.m_k.nnz
+        assert basic[0].dropped_count == 0
 
     def test_two_delta_guarantee_on_dominant_instances(self):
         cfg = PsaiConfig(delta=0.4, l_max=10)
         for seed in range(5):
             a = random_dominant(20, seed=seed)
             dense = a.to_dense()
-            for k in range(20):
-                basic = bpsai_column(a, k, cfg)
-                assert basic.residual_norm <= cfg.delta
-                res = psai_column(a, k, cfg)
+            basic = built_columns(a, cfg, dropping=False)
+            for k, res in enumerate(built_columns(a, cfg)):
+                assert basic[k].residual_norm <= cfg.delta
                 e = np.zeros(20); e[k] = 1.0
                 true_resid = np.linalg.norm(dense @ res.m_k.to_dense() - e)
                 assert true_resid <= 2 * cfg.delta + 1e-12
@@ -156,9 +156,7 @@ class TestEnvelope:
         for seed in (1, 2, 3):
             a = random_dominant(15, seed=seed)
             dense = a.to_dense()
-            cfg = PsaiConfig(delta=0.1, l_max=5)
-            for k in range(15):
-                res = psai_column(a, k, cfg)
+            for k, res in enumerate(built_columns(a, PsaiConfig(delta=0.1, l_max=5))):
                 envelope = boolean_power_pattern(dense, k, res.loops_used)
                 assert set(res.m_k.indices.tolist()) <= envelope
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.sparse import csc_matrix
 
-from saikit import (CscMatrix, SpaiConfig, generate_test_matrix, spai_candidates, spai_column,
+from saikit import (CscMatrix, SpaiConfig, generate_test_matrix, spai_candidates,
                     spai_profitability)
 from saikit.spai import spai
 from .conftest import random_dominant, tridiagonal, with_dense_column
@@ -131,9 +131,16 @@ class TestProfitability:
             assert rho[mine].tobytes() == alone_rho.tobytes()
 
 
+def built_columns(a: CscMatrix, cfg: SpaiConfig) -> list:
+    """Every column result of one build of ``a``, which no column fails."""
+    _, rep = spai(a, cfg)
+    assert rep.errors == []
+    return rep.columns
+
+
 class TestColumn:
     def test_identity(self):
-        res = spai_column(CscMatrix.identity(6), 2, SpaiConfig())
+        res = built_columns(CscMatrix.identity(6), SpaiConfig())[2]
         assert np.array_equal(res.m_k.to_dense(), np.eye(6)[2])
         assert res.residual_norm == 0.0
         assert res.loops_used == 0
@@ -142,14 +149,14 @@ class TestColumn:
     def test_2x2_stops_at_loose_delta(self):
         # with delta = 0.4 the single-entry pattern already satisfies the bound
         a = CscMatrix.from_dense([[2.0, 1.0], [0.0, 3.0]])
-        res = spai_column(a, 1, SpaiConfig(delta=0.4))
+        res = built_columns(a, SpaiConfig(delta=0.4))[1]
         assert res.converged and res.loops_used == 0
         assert res.residual_norm == pytest.approx(np.sqrt(0.1), abs=1e-12)
         assert np.allclose(res.m_k.to_dense(), [0.0, 0.3], atol=1e-12)
 
     def test_2x2_exact_inverse_after_one_augmentation(self):
         a = CscMatrix.from_dense([[2.0, 1.0], [0.0, 3.0]])
-        res = spai_column(a, 1, SpaiConfig(delta=0.3))
+        res = built_columns(a, SpaiConfig(delta=0.3))[1]
         assert res.converged and res.loops_used == 1
         assert np.allclose(res.m_k.to_dense(), [-1 / 6, 1 / 3], atol=1e-12)
         assert res.residual_norm <= 1e-12
@@ -158,8 +165,7 @@ class TestColumn:
         a = random_dominant(30, seed=17)
         dense = a.to_dense()
         cfg = SpaiConfig(delta=0.4, mn=5, l_max=20)
-        for k in range(30):
-            res = spai_column(a, k, cfg)
+        for k, res in enumerate(built_columns(a, cfg)):
             assert res.converged
             # oracle: recompute the residual from scratch
             e = np.zeros(30); e[k] = 1.0
@@ -167,24 +173,21 @@ class TestColumn:
 
     def test_residual_sequence_non_increasing(self):
         a = random_dominant(25, seed=5)
-        for k in range(25):
-            res = spai_column(a, k, SpaiConfig(delta=0.01, l_max=8))
+        for res in built_columns(a, SpaiConfig(delta=0.01, l_max=8)):
             seq = res.profile.residual_norms
             assert all(b <= x + 1e-12 for x, b in zip(seq, seq[1:]))
 
     def test_nnz_bound(self):
         a = random_dominant(40, seed=29)
         cfg = SpaiConfig(delta=0.01, mn=3, l_max=4)
-        for k in range(40):
-            res = spai_column(a, k, cfg)
+        for res in built_columns(a, cfg):
             assert res.m_k.nnz <= 1 + cfg.mn * cfg.l_max
 
     def test_rho_minimal_choices(self):
         a = random_dominant(30, seed=41)
         cfg = SpaiConfig(delta=0.005, mn=4, l_max=6, record_choices=True)
         checked = 0
-        for k in range(30):
-            res = spai_column(a, k, cfg)
+        for res in built_columns(a, cfg):
             for rhos, chosen in zip(res.profile.choices, res.profile.chosen):
                 chosen_set = set(chosen)
                 worst_chosen = max(rho for j, rho in rhos if j in chosen_set)
@@ -195,17 +198,12 @@ class TestColumn:
         assert checked > 0
 
     def test_zero_column_raises_through_fallback(self):
+        # the column's DegeneratePatternError is recorded, not raised out of the build
         dense = np.eye(4)
         dense[3, 3] = 0.0
-        a = CscMatrix.from_dense(dense)
-        from saikit import DegeneratePatternError
-        with pytest.raises(DegeneratePatternError):
-            spai_column(a, 3, SpaiConfig())
-
-    @pytest.mark.parametrize("k", [-1, 4])
-    def test_target_out_of_range_rejected(self, k):
-        with pytest.raises(ValueError):
-            spai_column(CscMatrix.identity(4), k, SpaiConfig())
+        _, rep = spai(CscMatrix.from_dense(dense), SpaiConfig())
+        assert rep.errors == [(3, "DegeneratePatternError: empty initial pattern")]
+        assert rep.columns[3].error == rep.errors[0][1]
 
 
 class TestAssembly:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from saikit import (CscMatrix, MatrixMarketError, SparseVector,
                     StructurallySingularError, UnsupportedFieldError,
-                    column_stats, matvec, matvec_t, norm1, norm_inf,
+                    column_stats, matvec, norm1, norm_inf,
                     permute_rows, read_matrix_market, transpose,
                     write_matrix_market, zero_free_diagonal_permutation)
 from saikit.sparse_core import (key_parts, member, owners, pointers, run_starts,
@@ -284,13 +284,6 @@ class TestMatvec:
     def test_block_dim_mismatch(self, shape):
         with pytest.raises(ValueError, match="dimension mismatch"):
             matvec(CscMatrix.identity(3), np.ones(shape))
-
-    def test_transpose_matvec(self):
-        rng = np.random.default_rng(5)
-        dense = rng.standard_normal((6, 4)) * (rng.random((6, 4)) < 0.5)
-        a = CscMatrix.from_dense(dense)
-        x = rng.standard_normal(6)
-        assert np.allclose(matvec_t(a, x), dense.T @ x, atol=1e-14)
 
     def test_large_instance_against_dense_oracle(self):
         rng = np.random.default_rng(200)
