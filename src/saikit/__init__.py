@@ -20,7 +20,7 @@ from .spai import ColumnResult, SpaiConfig, SpaiReport, spai_candidates, spai_pr
 from .sparse_core import (ColumnStats, CscMatrix, MatrixMarketError, SparseVector,
                           StructurallySingularError, UnsupportedFieldError,
                           column_stats, matvec, norm1, norm_inf, permute_rows,
-                          read_matrix_market, transpose, write_matrix_market,
+                          read_matrix_market, write_matrix_market,
                           zero_free_diagonal_permutation)
 from .splitting import (MatrixClassReport, SplitSystem, ZeroDiagonalError, classify,
                         condition_estimates, dominance_margins, generate_test_matrix, split)

@@ -1,11 +1,10 @@
 """Dense least-squares kernel for the small per-column subproblems.
 
 A workspace holds a batch of independent targets: target t minimizes
-``|| A(:, S_t) m - e_{k_t} ||`` over its column pattern S_t. A single
-target (``ls_init(a, k, cols)``) is the batch of one, fitted by the same
-code as any batch; it differs only in raising its failure. The active row
-set L_t holds every nonzero row of A(:, S_t) plus k_t itself, so the
-subproblem residual norm equals the full-length residual norm exactly.
+``|| A(:, S_t) m - e_{k_t} ||`` over its column pattern S_t; one target is
+the batch of one. The active row set L_t holds every nonzero row of
+A(:, S_t) plus k_t itself, so the subproblem residual norm equals the
+full-length residual norm exactly.
 Every init, augment and drop gathers A(L, S) of the targets it changes in
 one vectorised pass and re-solves them from scratch, in place.
 
@@ -54,11 +53,11 @@ block, so ``||a|| > 0``; a zero ``||a||^2`` can only be an underflow,
 which the loop solves. A stacked block with a dependent column goes to
 the loop, which applies this rule.
 
-Failures: a single target raises. In a batch, a target whose workspace
-guard trips, whose pattern selects an all-zero submatrix, or whose fit
-gives a coefficient that is not finite (a column so small that the
-coefficient overflows float64, such as a lone entry of 1e-310) is removed
-from the workspace and its exception is kept in ``errors``; the rest go on.
+Failures: a target whose workspace guard trips, whose pattern selects an
+all-zero submatrix, or whose fit gives a coefficient that is not finite (a
+column so small that the coefficient overflows float64, such as a lone
+entry of 1e-310) is removed from the workspace and its exception is kept
+in ``errors``; the rest go on.
 """
 
 from __future__ import annotations
@@ -66,8 +65,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg.lapack import dgeqrf, dormqr, dtrtrs
 
-from .sparse_core import (CscMatrix, SparseVector, key_parts, member, pointers, ranges,
-                          sorted_unique)
+from .sparse_core import CscMatrix, key_parts, member, pointers, ranges, sorted_unique
 
 _DEPENDENT_TOL = 1e-12
 _TINY = np.finfo(np.float64).tiny
@@ -215,30 +213,31 @@ class LsWorkspace:
     """Least-squares state for a batch of targets over their column patterns.
 
     Construction solves every target on its initial pattern; ``ls_init``
-    is another name for the class. ``LsWorkspace(a, k, cols)`` with an
-    integer ``k`` is the batch of one, which raises on failure. With an
-    array of targets ``k``, ``cols`` is the pair ``(owner, cols)`` of the
-    initial patterns, where ``owner`` gives the position in ``k`` of each
-    column's target. A failed target keeps its exception in ``errors``, no
-    pattern or residual entries, and a NaN in ``residual_norms``, which the
-    lockstep builds rely on to stop it.
+    is another name for the class. ``targets`` holds the row ``k`` of each
+    target, and ``cols`` and ``owner`` the initial patterns: each column
+    and the position in ``targets`` of its target, the same order as in
+    :meth:`augment` and :meth:`drop_columns`. A failed target keeps its
+    exception in ``errors``, no pattern or residual entries, and a NaN in
+    ``residual_norms``, which the lockstep builds rely on to stop it.
     """
 
-    def __init__(self, a: CscMatrix, k, cols,
+    def __init__(self, a: CscMatrix, targets, cols, owner,
                  max_workspace_bytes: int | None = None):
-        self.single = np.ndim(k) == 0
+        if np.ndim(targets) != 1:
+            raise ValueError("targets must be a 1-D array; one target k is the batch "
+                             "of one, LsWorkspace(a, [k], cols, owner)")
         self.n_rows = a.n_rows
         self.n_cols = a.n_cols
         self.max_workspace_bytes = max_workspace_bytes
         self.errors: dict[int, Exception] = {}
-        self.targets = np.asarray(k, dtype=np.int64).ravel()
+        self.targets = np.asarray(targets, dtype=np.int64)
         n_t = len(self.targets)
         if n_t and (self.targets.min() < 0 or self.targets.max() >= a.n_rows):
             raise ValueError("target index k out of range")
         self.residual_norms = np.full(n_t, np.nan)
         self._owner = self._cols = self._row_owner = self._rows = np.empty(0, dtype=np.int64)
         self._coeffs = self._resid_vec = np.empty(0)
-        keys = self._pairs(None, cols) if self.single else self._pairs(*cols)
+        keys = self._pairs(owner, cols)
         owner, cols = key_parts(keys, self.n_cols)
         empty = np.ones(n_t, dtype=bool)
         empty[owner] = False
@@ -247,16 +246,6 @@ class LsWorkspace:
         self._refit(a, owner, cols, ~empty)
 
     # -- public state --------------------------------------------------
-
-    @property
-    def k(self) -> int:
-        """Target of a batch of one."""
-        return int(self.targets[0])
-
-    @property
-    def residual_norm(self) -> float:
-        """Residual norm of a batch of one."""
-        return float(self.residual_norms[0])
 
     @property
     def cols(self) -> np.ndarray:
@@ -272,27 +261,17 @@ class LsWorkspace:
         """Flat ``(owner, col, coefficient)`` arrays, in insertion order; do not write."""
         return self._owner, self._cols, self._coeffs
 
-    def solution(self, t: int = 0) -> SparseVector:
-        """Current minimizer of target t as a sparse vector over its pattern."""
-        at = self._span(self._owner, t)
-        return SparseVector(self.n_cols, self._cols[at], self._coeffs[at])
-
-    def residual(self, t: int = 0) -> SparseVector:
-        """Residual A(:, S) m - e_k of target t as a sparse vector over its rows L."""
-        at = self._span(self._row_owner, t)
-        return SparseVector(self.n_rows, self._rows[at], self._resid_vec[at])
-
     def residuals(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Flat ``(owner, row, residual)`` arrays, rows ascending in each target; do not write."""
         return self._row_owner, self._rows, self._resid_vec
 
     # -- mutation ------------------------------------------------------
 
-    def augment(self, a: CscMatrix, new_cols, owner=None) -> None:
+    def augment(self, a: CscMatrix, new_cols, owner) -> None:
         """Extend the patterns in place; rows of the new columns join L.
 
-        ``owner`` gives the target of each new column; a batch of one needs
-        none. Only the targets that get a column are re-solved.
+        ``owner`` gives the target of each new column. Only the targets
+        that get a column are re-solved.
         """
         keys = self._pairs(owner, new_cols)
         if len(keys) == 0:
@@ -308,12 +287,12 @@ class LsWorkspace:
         order = np.argsort(owner, kind="stable")      # old columns first in each target
         self._refit(a, owner[order], np.concatenate([old_cols, new_cols])[order], touched)
 
-    def drop_columns(self, a: CscMatrix, drop, owner=None) -> "LsWorkspace":
+    def drop_columns(self, a: CscMatrix, drop, owner) -> "LsWorkspace":
         """Re-solve in place on S minus ``drop``; returns the workspace.
 
-        ``owner`` gives the target of each dropped column; a batch of one
-        needs none. Only the targets named in ``drop`` are re-solved, on
-        their remaining columns in ascending order.
+        ``owner`` gives the target of each dropped column. Only the targets
+        named in ``drop`` are re-solved, on their remaining columns in
+        ascending order.
         """
         keys = self._pairs(owner, drop)
         touched = np.zeros(len(self.targets), dtype=bool)
@@ -337,26 +316,18 @@ class LsWorkspace:
     def _pairs(self, owner, cols) -> np.ndarray:
         """Sorted unique ``owner * n_cols + col`` keys of checked (owner, col) pairs."""
         cols = np.asarray(cols, dtype=np.int64).ravel()
-        if len(cols) == 0:
-            return cols
-        owner = (np.zeros(len(cols), dtype=np.int64) if owner is None
-                 else np.asarray(owner, dtype=np.int64).ravel())
+        owner = np.asarray(owner, dtype=np.int64).ravel()
         if len(owner) != len(cols):
             raise ValueError("owner and column arrays differ in length")
+        if len(cols) == 0:
+            return cols
         if owner.min() < 0 or owner.max() >= len(self.targets):
             raise ValueError("owner index out of range")
         if cols.min() < 0 or cols.max() >= self.n_cols:
             raise ValueError("column index out of range")
         return sorted_unique(owner * self.n_cols + cols)
 
-    def _span(self, owner: np.ndarray, t: int):
-        """Positions of target t in a flat state array."""
-        lo, hi = np.searchsorted(owner, (t, t + 1))
-        return slice(lo, hi)
-
     def _fail(self, t: int, exc: Exception) -> None:
-        if self.single:
-            raise exc
         self.errors[int(t)] = exc
         self.residual_norms[t] = np.nan
 

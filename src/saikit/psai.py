@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 from scipy.sparse import csc_matrix as _scipy_csc
 
-from .lstsq import DegeneratePatternError, ls_init
+from .lstsq import ls_init
 from .sparse_core import CscMatrix, SparseVector, member, norm1, owners, pointers
 from .spai import _build_columns, _Report
 
@@ -120,10 +120,7 @@ def _lockstep(a: CscMatrix, ks: np.ndarray, cfg: PsaiConfig, a_norm1: float,
     """
     n = a.n_cols
     n_t = len(ks)
-    ws = ls_init(a, ks, (np.arange(n_t), ks), max_workspace_bytes=cfg.max_workspace_bytes)
-    for t, exc in ws.errors.items():
-        if isinstance(exc, DegeneratePatternError):
-            ws.errors[t] = DegeneratePatternError(f"column {ks[t]}: {exc}")
+    ws = ls_init(a, ks, ks, np.arange(n_t), max_workspace_bytes=cfg.max_workspace_bytes)
     none, empty = np.empty(0, dtype=np.int64), np.empty(0)
     tols, drops = [(none, empty)], [(none, none, none, empty, empty)]
     loops_used = np.zeros(n_t, dtype=np.int64)

@@ -222,7 +222,7 @@ def _lockstep(a: CscMatrix, ks: np.ndarray, cfg: SpaiConfig, col_sqnorms: np.nda
     """
     n, n_t = a.n_cols, len(ks)
     start = np.flatnonzero(a.per_col_nnz[ks])
-    ws = ls_init(a, ks, (start, ks[start]), max_workspace_bytes=cfg.max_workspace_bytes)
+    ws = ls_init(a, ks, ks[start], start, max_workspace_bytes=cfg.max_workspace_bytes)
 
     none, empty = np.empty(0, dtype=np.int64), np.empty(0)
     norms, sizes = [(none, empty)], [(none, none, none)]

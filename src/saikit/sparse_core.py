@@ -333,10 +333,6 @@ def matvec(a: CscMatrix, x) -> np.ndarray:
     return a._scipy @ x
 
 
-def transpose(a: CscMatrix) -> CscMatrix:
-    return CscMatrix.from_coo(a.n_cols, a.n_rows, a.entry_cols(), a.row_idx, a.values)
-
-
 def abs_sums(a: CscMatrix, axis: int) -> np.ndarray:
     """Sums of ``|a_ij|`` along ``axis``: one per column for 0, one per row for 1."""
     index, size = (a.entry_cols(), a.n_cols) if axis == 0 else (a.row_idx, a.n_rows)

@@ -21,6 +21,21 @@ def dense_split_factor(a: CscMatrix) -> float:
     return (a.n_rows - 0.5) / stats.p
 
 
+def of_one(cols) -> tuple[np.ndarray, np.ndarray]:
+    """Columns and owners of target 0: ``ls_init(a, [k], *of_one(cols))`` is a
+    batch of one, and ``ws.augment(a, *of_one(cols))`` grows it."""
+    cols = np.asarray(cols, dtype=np.int64).ravel()
+    return cols, np.zeros(len(cols), dtype=np.int64)
+
+
+def dense_solution(ws, t: int = 0) -> np.ndarray:
+    """Coefficients of target t of a least-squares workspace, as a dense vector."""
+    owner, cols, coeffs = ws.pattern()
+    out = np.zeros(ws.n_cols)
+    out[cols[owner == t]] = coeffs[owner == t]
+    return out
+
+
 def tridiagonal(n: int, diag: float = 2.0, off: float = -1.0) -> CscMatrix:
     rows, cols, vals = [], [], []
     for j in range(n):

@@ -26,9 +26,15 @@ concatenation that assembled their M (``_assemble_columns``) and the
 report types they filled (``SpaiReport`` and ``PsaiReport``, whose
 ``columns`` was a plain list). They find their least-squares kernel
 ``ls_init``, and SPAI its ``spai_candidates`` and ``spai_profitability``,
-as module globals, so a test may swap in another one. The one change to
-the SPAI loop: it writes the residual into its dense vector from
-``ws.residual()``, as the workspace no longer has ``scatter_residual``.
+as module globals, so a test may swap in another one. Their ``ls_init``
+here is ``_OneTarget``: a batch of one of ``lstsq.LsWorkspace`` behind
+the single-target interface the loops were written for, which raises the
+failure the batch records. The changes to the loops: SPAI writes the
+residual into its dense vector from ``ws.residual()``, as the workspace
+no longer has ``scatter_residual``, and builds A^T with ``_transpose``,
+which is what the removed ``sparse_core.transpose`` did; PSAI no longer
+prefixes its initial ``DegeneratePatternError`` with ``column k:``, as
+the lockstep build pairs each error text with its column instead.
 
 The per-system BiCGStab (``bicgstab``, which judged convergence on the
 true residual of every half step) and the driver's loop over the systems
@@ -67,15 +73,18 @@ from scipy.sparse.csgraph import maximum_bipartite_matching as _max_matching
 from saikit import driver
 from saikit.driver import DriverConfig, SolveReport
 from saikit.krylov import BlockOutcome, SolveOutcome
-from saikit.lstsq import DegeneratePatternError, WorkspaceGuardError, _householder_solve, ls_init
+from saikit.lstsq import (DegeneratePatternError, LsWorkspace, WorkspaceGuardError,
+                          _householder_solve)
 from saikit.psai import PsaiColumnResult, PsaiConfig, psai_tol
 from saikit.sparse_core import (CscMatrix, MatrixMarketError, PathOrStream, SparseVector,
                                 StructurallySingularError, UnsupportedFieldError,
                                 _as_index_array, _as_value_array, _open_text, column_stats,
-                                norm1, pointers, transpose)
+                                norm1, pointers)
 from saikit.sparse_core import sorted_unique as _sorted_unique
 from saikit.spai import ColumnProfile, ColumnResult, SpaiConfig
 from saikit.splitting import SplitSystem, _keep_indices
+
+from .conftest import of_one
 
 
 def check_csc(n_rows: int, n_cols: int, col_ptr, row_idx, values) -> None:
@@ -427,6 +436,52 @@ def _pattern_step(a: CscMatrix, frontier: np.ndarray) -> np.ndarray:
     return np.unique(a.columns(frontier)[0])
 
 
+class _OneTarget:
+    """Target k of an ``LsWorkspace`` batch of one, with the single-target
+    interface the per-column loops were written for: an init, augment or
+    drop that fails raises the exception the batch records."""
+
+    def __init__(self, a: CscMatrix, k: int, cols, max_workspace_bytes: int | None = None):
+        self._ws = LsWorkspace(a, [k], *of_one(cols), max_workspace_bytes)
+        self._raise()
+
+    def _raise(self) -> None:
+        if self._ws.errors:
+            raise self._ws.errors[0]
+
+    @property
+    def residual_norm(self) -> float:
+        return float(self._ws.residual_norms[0])
+
+    @property
+    def cols(self) -> np.ndarray:
+        return self._ws.cols
+
+    @property
+    def rows(self) -> np.ndarray:
+        return self._ws.rows
+
+    def solution(self) -> SparseVector:
+        _, cols, coeffs = self._ws.pattern()
+        return SparseVector(self._ws.n_cols, cols, coeffs)
+
+    def residual(self) -> SparseVector:
+        _, rows, resid = self._ws.residuals()
+        return SparseVector(self._ws.n_rows, rows, resid)
+
+    def augment(self, a: CscMatrix, new_cols) -> None:
+        self._ws.augment(a, *of_one(new_cols))
+        self._raise()
+
+    def drop_columns(self, a: CscMatrix, drop) -> "_OneTarget":
+        self._ws.drop_columns(a, *of_one(drop))
+        self._raise()
+        return self
+
+
+ls_init = _OneTarget
+
+
 def psai_column(a: CscMatrix, k: int, cfg: PsaiConfig,
                 a_norm1: float | None = None,
                 dropping: bool = True) -> PsaiColumnResult:
@@ -435,10 +490,7 @@ def psai_column(a: CscMatrix, k: int, cfg: PsaiConfig,
         raise ValueError("square matrix required")
     if a_norm1 is None:
         a_norm1 = norm1(a)
-    try:
-        ws = ls_init(a, k, [k], max_workspace_bytes=cfg.max_workspace_bytes)
-    except DegeneratePatternError as exc:
-        raise DegeneratePatternError(f"column {k}: {exc}") from exc
+    ws = ls_init(a, k, [k], max_workspace_bytes=cfg.max_workspace_bytes)
 
     drops: list[tuple[int, int, float, float]] = []
     tol_history: list[float] = []
@@ -515,6 +567,11 @@ def _map_columns(fn, n: int, threads: int) -> list:
         return list(pool.map(fn, range(n)))
 
 
+def _transpose(a: CscMatrix) -> CscMatrix:
+    """A^T, as ``sparse_core.transpose`` built it before it was removed."""
+    return CscMatrix.from_coo(a.n_cols, a.n_rows, a.entry_cols(), a.row_idx, a.values)
+
+
 def spai_candidates(a: CscMatrix, r_k: SparseVector, s,
                     at: CscMatrix | None = None) -> np.ndarray:
     """Candidate indices: columns touching the residual rows, minus the pattern.
@@ -525,7 +582,7 @@ def spai_candidates(a: CscMatrix, r_k: SparseVector, s,
     if r_k.nnz == 0:
         return np.empty(0, dtype=np.int64)
     if at is None:
-        at = transpose(a)
+        at = _transpose(a)
     return _outside(at.columns(r_k.indices)[0], np.asarray(s, dtype=np.int64))
 
 
@@ -553,7 +610,7 @@ def spai_column(a: CscMatrix, k: int, cfg: SpaiConfig,
     if a.n_rows != a.n_cols:
         raise ValueError("square matrix required")
     if at is None:
-        at = transpose(a)
+        at = _transpose(a)
     init = np.asarray([k] if s0 is None else s0, dtype=np.int64)
     try:
         ws = ls_init(a, k, init, max_workspace_bytes=cfg.max_workspace_bytes)
@@ -603,7 +660,7 @@ def spai(a: CscMatrix, cfg: SpaiConfig | None = None,
     rather than aborting the whole matrix.
     """
     cfg = cfg or SpaiConfig()
-    at = transpose(a)
+    at = _transpose(a)
     col_sqnorms = np.bincount(a.entry_cols(), weights=a.values ** 2, minlength=a.n_cols)
 
     def run(k: int) -> ColumnResult:

@@ -17,14 +17,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from saikit import (CscMatrix, PsaiConfig, SpaiConfig, generate_test_matrix, ls_init,
-                    permute_rows)
+from saikit import (CscMatrix, LsWorkspace, PsaiConfig, SpaiConfig, generate_test_matrix,
+                    ls_init, permute_rows)
 from saikit import psai as saikit_psai
 from saikit import spai as saikit_spai
 from saikit.psai import psai
 from saikit.spai import spai
 
 from . import gs_reference, loop_reference
+from .conftest import dense_solution, of_one
 from .test_lstsq_reference import EXCEPTIONS, column_value_difference, ls_programs
 
 KINDS = ("dominant-row", "dominant-col", "m-matrix", "irreducible-dd")
@@ -262,8 +263,7 @@ def test_overflowing_column_fails_alone(method):
         warnings.simplefilter("error")
         m, rep = build(CscMatrix.from_dense(dense), cfg)
     assert rep.errors == [(3, "DegeneratePatternError: "
-                           + ("column 3: " if method == "psai" else "")
-                           + "pattern gives a coefficient that is not finite")]
+                           "pattern gives a coefficient that is not finite")]
     assert rep.residuals[3] == 1.0 and rep.loops[3] == 0
     assert np.flatnonzero(m.per_col_nnz == 0).tolist() == [3]
     assert rep.n_failed == 1 if method == "psai" else rep.n_c >= 1
@@ -280,12 +280,52 @@ def test_no_columns_is_one_empty_batch(method, threads, monkeypatch):
     assert rep.columns == [] and rep.errors == [] and len(rep.residuals) == 0
 
 
+@pytest.mark.parametrize("method", ["psai", "spai"])
+def test_builds_call_what_the_bench_tracer_wraps(method, monkeypatch):
+    # perfbench's tracer wraps the ls_init attribute of each build module and
+    # LsWorkspace.augment, whose third positional argument it reads as the
+    # new columns
+    module = saikit_psai if method == "psai" else saikit_spai
+    init, augment = module.ls_init, LsWorkspace.augment
+    inits, new_cols = [], []
+
+    def counted_init(*args, **kwargs):
+        inits.append(init(*args, **kwargs))
+        return inits[-1]
+
+    def counted_augment(*args, **kwargs):
+        new_cols.append(len(args[2]))
+        return augment(*args, **kwargs)
+
+    monkeypatch.setattr(module, "ls_init", counted_init)
+    monkeypatch.setattr(LsWorkspace, "augment", counted_augment)
+    build, cfg = BUILDS[method]
+    build(generate_test_matrix("dominant-row", 30, planted_dense_cols=1, seed=4), cfg)
+    assert len(inits) == 1 and isinstance(inits[0], LsWorkspace)
+    assert new_cols and min(new_cols) > 0
+
+
+def test_workspace_surface_the_bench_tracer_reads():
+    # the tracer records len(ws.rows) and len(ws.cols) of the workspace that
+    # ls_init and drop_columns return and that augment was called on
+    a = CscMatrix.from_dense(np.eye(4) + np.diag(np.ones(3), 1))
+    ws = ls_init(a, np.array([0, 2]), np.array([0, 2]), np.array([0, 1]))
+    shapes = [(len(ws.rows), len(ws.cols))]
+    ws.augment(a, np.array([1, 3]), np.array([0, 1]))
+    shapes.append((len(ws.rows), len(ws.cols)))
+    assert ws.drop_columns(a, np.array([1]), np.array([0])) is ws
+    shapes.append((len(ws.rows), len(ws.cols)))
+    # rows {0} and {1, 2}; then {0, 1} and {1, 2, 3}; then {0} and {1, 2, 3}
+    assert shapes == [(3, 2), (5, 4), (4, 3)]
+    assert not ws.errors
+
+
 def target_state(ws, t: int):
     """Pattern (insertion order), coefficients, rows, residual and norm of target t."""
     owner, cols, coeffs = ws.pattern()
-    mine = owner == t
-    res = ws.residual(t)
-    return (cols[mine], coeffs[mine].tobytes(), res.indices, res.values.tobytes(),
+    r_owner, rows, resid = ws.residuals()
+    mine, here = owner == t, r_owner == t
+    return (cols[mine], coeffs[mine].tobytes(), rows[here], resid[here].tobytes(),
             float(ws.residual_norms[t]))
 
 
@@ -315,12 +355,16 @@ def test_batch_matches_targets_solved_alone(program):
         except EXCEPTIONS as exc:
             return exc
 
-    singles = [alone(lambda: ls_init(a, int(k), s, max_workspace_bytes=guard))
+    def settled(ws):
+        """A batch of one, or the failure it recorded."""
+        return ws.errors.get(0, ws)
+
+    singles = [settled(ls_init(a, [k], *of_one(s), max_workspace_bytes=guard))
                for k, s in zip(targets, patterns)]
     refs = [alone(lambda: gs_reference.ls_init(a, int(k), s, max_workspace_bytes=guard))
             for k, s in zip(targets, patterns)]
     owner = np.concatenate([np.full(len(s), t) for t, s in enumerate(patterns)])
-    batch = ls_init(a, targets, (owner, np.concatenate(patterns)), max_workspace_bytes=guard)
+    batch = ls_init(a, targets, np.concatenate(patterns), owner, max_workspace_bytes=guard)
 
     def check() -> None:
         for t, (single, ref) in enumerate(zip(singles, refs)):
@@ -328,12 +372,13 @@ def test_batch_matches_targets_solved_alone(program):
                 got = batch.errors[t]
                 assert (type(got), str(got)) == (type(single), str(single))
                 assert type(ref) is type(single)
+                assert np.isnan(batch.residual_norms[t])
                 continue
-            assert t not in batch.errors
+            assert t not in batch.errors and not isinstance(ref, Exception)
             assert_bitwise(target_state(batch, t), target_state(single, 0))
             r = ref.residual_norm
-            assert abs(single.residual_norm - r) <= 1e-10 * max(1.0, r)
-            diff = single.solution().to_dense() - ref.solution().to_dense()
+            assert abs(single.residual_norms[0] - r) <= 1e-10 * max(1.0, r)
+            diff = dense_solution(single) - ref.solution().to_dense()
             assert np.linalg.norm(dense @ diff) <= 1e-10
 
     check()
@@ -349,10 +394,11 @@ def test_batch_matches_targets_solved_alone(program):
             if not new:
                 continue
             for t, c in new.items():
-                err, ref_err = (alone(lambda: ws.augment(a, c)) for ws in (singles[t], refs[t]))
-                assert type(err) is type(ref_err)
-                if err is not None:
-                    singles[t], refs[t] = err, ref_err
+                singles[t].augment(a, *of_one(c))
+                singles[t] = settled(singles[t])
+                ref_err = alone(lambda: refs[t].augment(a, c))
+                if ref_err is not None:
+                    refs[t] = ref_err
             batch.augment(a, np.concatenate(list(new.values())),
                           np.concatenate([np.full(len(c), t) for t, c in new.items()]))
         else:                           # drop
@@ -360,9 +406,8 @@ def test_batch_matches_targets_solved_alone(program):
                                   size=int(rng.integers(1, len(singles[t].cols) + 1)),
                                   replace=False) for t in picked}
             for t, c in gone.items():
-                singles[t] = alone(lambda: singles[t].drop_columns(a, c))
+                singles[t] = settled(singles[t].drop_columns(a, *of_one(c)))
                 refs[t] = alone(lambda: refs[t].drop_columns(a, c))
-            batch = batch.drop_columns(a, np.concatenate(list(gone.values())),
-                                       np.concatenate([np.full(len(c), t)
-                                                       for t, c in gone.items()]))
+            batch.drop_columns(a, np.concatenate(list(gone.values())),
+                               np.concatenate([np.full(len(c), t) for t, c in gone.items()]))
         check()

@@ -27,8 +27,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csc_matrix
 
-from saikit import (CscMatrix, DegeneratePatternError, DriverConfig, MatrixMarketError, PsaiConfig,
-                    SparseVector, SpaiConfig, bicgstab, generate_test_matrix, ls_init, matvec,
+from saikit import (CscMatrix, DriverConfig, MatrixMarketError, PsaiConfig, SparseVector,
+                    SpaiConfig, bicgstab, generate_test_matrix, matvec,
                     permute_rows, read_matrix_market, solve_irregular, solve_standard,
                     spai_profitability, split, zero_free_diagonal_permutation)
 from saikit.psai import psai
@@ -38,8 +38,7 @@ from saikit.splitting import _strongly_connected
 
 from . import loop_reference
 from .conftest import dense_split_factor
-from .test_lstsq_reference import (column_value_difference, generator_inputs, ls_programs,
-                                   random_subset)
+from .test_lstsq_reference import column_value_difference, generator_inputs
 
 seeds = st.integers(0, 2 ** 31 - 1)
 
@@ -161,40 +160,6 @@ def test_spai_build_matches_per_candidate_loop(a, monkeypatch):
                         score=loop_reference.spai_profitability: score(a, r, cand))
     m_old = loop_reference.spai(a, cfg)[0]
     assert m_new.same_as(m_old)
-
-
-def assert_same_vector(got: SparseVector, want: SparseVector) -> None:
-    assert got.dim == want.dim
-    assert np.all(got.values != 0.0) and np.all(np.diff(got.indices) > 0)
-    for g, w in ((got.indices, want.indices), (got.values, want.values)):
-        assert g.dtype == w.dtype and np.array_equal(g, w)
-        assert not g.flags.writeable
-
-
-@settings(max_examples=200, deadline=None)
-@given(ls_programs())
-def test_workspace_vectors_match_validated_constructor(program):
-    dense, rng = program
-    n = dense.shape[0]
-    a = CscMatrix.from_dense(dense)
-    try:
-        ws = ls_init(a, int(rng.integers(n)), random_subset(rng, np.arange(n)))
-    except DegeneratePatternError:
-        return
-    outside = np.setdiff1d(np.arange(n), ws.cols)
-    if len(outside) and rng.random() < 0.5:
-        ws.augment(a, random_subset(rng, outside))
-    assert_same_vector(ws.solution(), SparseVector(n, ws._cols, ws._coeffs))
-    assert_same_vector(ws.residual(), SparseVector(n, ws._rows, ws._resid_vec))
-
-
-def test_workspace_vectors_purge_exact_zeros():
-    # column 1 = 2 * column 0 gets coefficient 0; the fit of row 0 is exact
-    a = CscMatrix.from_dense([[1.0, 2.0, 0.0], [0.0, 0.0, 3.0], [1.0, 2.0, 0.0]])
-    ws = ls_init(a, 1, [0, 1, 2])
-    assert 0.0 in ws._coeffs and 0.0 in ws._resid_vec
-    assert_same_vector(ws.solution(), SparseVector(3, ws._cols, ws._coeffs))
-    assert_same_vector(ws.residual(), SparseVector(3, ws._rows, ws._resid_vec))
 
 
 def test_vector_rejects_non_finite():

@@ -10,6 +10,7 @@ from saikit import (CscMatrix, DegeneratePatternError, PsaiConfig, WorkspaceGuar
 from saikit import lstsq
 from saikit.psai import psai
 
+from .conftest import dense_solution, of_one
 from .test_lstsq_reference import column_value_difference
 
 
@@ -23,67 +24,90 @@ def dense_ls_residual(dense: np.ndarray, cols, k: int) -> float:
 
 
 def full_residual(dense: np.ndarray, ws) -> float:
-    sol = ws.solution().to_dense()
+    """Full-length residual norm of a batch of one."""
     e_k = np.zeros(dense.shape[0])
-    e_k[ws.k] = 1.0
-    return float(np.linalg.norm(dense @ sol - e_k))
+    e_k[ws.targets[0]] = 1.0
+    return float(np.linalg.norm(dense @ dense_solution(ws) - e_k))
+
+
+def assert_failed(ws, kind: type, text: str) -> None:
+    """Target 0 failed with ``kind(text)``: it reads NaN and keeps no state."""
+    assert list(ws.errors) == [0]
+    assert (type(ws.errors[0]), str(ws.errors[0])) == (kind, text)
+    assert np.isnan(ws.residual_norms[0])
+    assert len(ws.pattern()[0]) == 0 and len(ws.residuals()[0]) == 0
 
 
 class TestInit:
     def test_identity_column(self):
-        ws = ls_init(CscMatrix.identity(4), 0, [0])
-        assert np.array_equal(ws.solution().to_dense(), [1.0, 0, 0, 0])
-        assert ws.residual_norm == 0.0
+        ws = ls_init(CscMatrix.identity(4), [0], *of_one([0]))
+        assert np.array_equal(dense_solution(ws), [1.0, 0, 0, 0])
+        assert ws.residual_norms[0] == 0.0
 
     def test_exact_2x2_inverse_column(self):
         a = CscMatrix.from_dense([[2.0, 1.0], [0.0, 3.0]])
-        ws = ls_init(a, 1, [0, 1])
-        assert np.allclose(ws.solution().to_dense(), [-1 / 6, 1 / 3], atol=1e-14)
-        assert ws.residual_norm <= 1e-14
+        ws = ls_init(a, [1], *of_one([0, 1]))
+        assert np.allclose(dense_solution(ws), [-1 / 6, 1 / 3], atol=1e-14)
+        assert ws.residual_norms[0] <= 1e-14
 
     def test_tall_block_matches_normal_equations(self):
         rng = np.random.default_rng(7)
         dense = rng.standard_normal((4, 2))
         a = CscMatrix.from_dense(dense)
-        ws = ls_init(a, 2, [0, 1])
+        ws = ls_init(a, [2], *of_one([0, 1]))
         # oracle: normal equations solved densely
         e = np.zeros(4)
         e[2] = 1.0
         coef = np.linalg.solve(dense.T @ dense, dense.T @ e)
-        assert np.allclose(ws.solution().to_dense(), coef, atol=1e-10)
+        assert np.allclose(dense_solution(ws), coef, atol=1e-10)
 
     def test_row_k_always_included(self):
         # column 0 has no entry at row 2, yet the subproblem must see e_k
         a = CscMatrix.from_dense([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        ws = ls_init(a, 2, [0])
+        ws = ls_init(a, [2], *of_one([0]))
         assert 2 in set(ws.rows)
-        assert ws.residual_norm == pytest.approx(1.0)
+        assert ws.residual_norms[0] == pytest.approx(1.0)
 
     def test_degenerate(self):
         a = CscMatrix.from_dense([[1.0, 0.0], [0.0, 0.0]])
-        with pytest.raises(DegeneratePatternError):
-            ls_init(a, 1, [1])
+        assert_failed(ls_init(a, [1], *of_one([1])), DegeneratePatternError,
+                      "pattern selects an all-zero submatrix")
 
     def test_overflowing_coefficient(self):
         # ||a||^2 underflows, so the QR fits 1 / 1e-310, which overflows
-        with pytest.raises(DegeneratePatternError, match="not finite"):
-            ls_init(CscMatrix.from_dense([[1e-310]]), 0, [0])
+        assert_failed(ls_init(CscMatrix.from_dense([[1e-310]]), [0], *of_one([0])),
+                      DegeneratePatternError, "pattern gives a coefficient that is not finite")
 
     def test_workspace_guard(self):
         a = CscMatrix.from_dense(np.eye(50))
-        with pytest.raises(WorkspaceGuardError):
-            ls_init(a, 0, list(range(50)), max_workspace_bytes=100)
+        ws = ls_init(a, [0], *of_one(range(50)), max_workspace_bytes=100)
+        assert_failed(ws, WorkspaceGuardError, "workspace estimate 40000 B exceeds guard of 100 B")
 
     def test_underdetermined_pattern(self):
         # more pattern columns than active rows: extras go dependent, coef 0
         dense = np.zeros((6, 6))
         dense[0, :4] = [1.0, 2.0, 3.0, 4.0]
         a = CscMatrix.from_dense(dense)
-        ws = ls_init(a, 0, [0, 1, 2, 3])
-        sol = ws.solution().to_dense()
-        assert np.count_nonzero(sol) == 1
-        assert ws.residual_norm <= 1e-14
+        ws = ls_init(a, [0], *of_one([0, 1, 2, 3]))
+        assert np.count_nonzero(dense_solution(ws)) == 1
+        assert ws.residual_norms[0] <= 1e-14
         assert len(ws.rows) == 1  # only row 0 (k itself) is active
+
+    def test_scalar_target_rejected(self):
+        # a scalar k would otherwise take its columns for owners and fit
+        # target 2 on column 1 alone
+        a = CscMatrix.identity(3)
+        with pytest.raises(ValueError, match=r"batch of one, LsWorkspace\(a, \[k\]"):
+            ls_init(a, 2, [0, 1], [0, 0])
+        with pytest.raises(ValueError, match="1-D"):
+            ls_init(a, [[2]], [0, 1], [0, 0])
+
+    def test_owner_and_columns_must_pair(self):
+        a = CscMatrix.identity(3)
+        with pytest.raises(ValueError, match="differ in length"):
+            ls_init(a, [2], [0, 1], [0])
+        with pytest.raises(ValueError, match="differ in length"):
+            ls_init(a, [2], [], [0])
 
 
 class TestAugment:
@@ -92,19 +116,19 @@ class TestAugment:
         a = CscMatrix.from_dense([[1.0, 0.0, 0.0],
                                   [0.0, 0.0, 1.0],
                                   [0.0, 1.0, 0.0]])
-        ws = ls_init(a, 1, [0])
-        before = ws.residual_norm
-        ws.augment(a, [1])
-        assert ws.residual_norm <= before + 1e-12
-        assert ws.residual_norm == pytest.approx(before, abs=1e-12)
+        ws = ls_init(a, [1], *of_one([0]))
+        before = ws.residual_norms[0]
+        ws.augment(a, *of_one([1]))
+        assert ws.residual_norms[0] <= before + 1e-12
+        assert ws.residual_norms[0] == pytest.approx(before, abs=1e-12)
 
     def test_full_pattern_reaches_zero(self):
         rng = np.random.default_rng(3)
         dense = rng.standard_normal((6, 6)) + 6 * np.eye(6)
         a = CscMatrix.from_dense(dense)
-        ws = ls_init(a, 2, [2])
-        ws.augment(a, [0, 1, 3, 4, 5])
-        assert ws.residual_norm <= 1e-10
+        ws = ls_init(a, [2], *of_one([2]))
+        ws.augment(a, *of_one([0, 1, 3, 4, 5]))
+        assert ws.residual_norms[0] <= 1e-10
         # oracle: from-scratch full-pattern solve
         assert dense_ls_residual(dense, range(6), 2) <= 1e-10
 
@@ -112,31 +136,30 @@ class TestAugment:
         rng = np.random.default_rng(12)
         dense = rng.standard_normal((10, 10))
         a = CscMatrix.from_dense(dense)
-        ws = ls_init(a, 4, [4])
+        ws = ls_init(a, [4], *of_one([4]))
         for j in [1, 7, 2, 9]:
-            ws.augment(a, [j])
-        fresh = ls_init(a, 4, [4, 1, 7, 2, 9])
-        assert np.allclose(ws.solution().to_dense(), fresh.solution().to_dense(),
-                           atol=1e-9)
+            ws.augment(a, *of_one([j]))
+        fresh = ls_init(a, [4], *of_one([4, 1, 7, 2, 9]))
+        assert np.allclose(dense_solution(ws), dense_solution(fresh), atol=1e-9)
 
     def test_disjointness_enforced(self):
         a = CscMatrix.identity(3)
-        ws = ls_init(a, 0, [0])
+        ws = ls_init(a, [0], *of_one([0]))
         with pytest.raises(ValueError):
-            ws.augment(a, [0])
+            ws.augment(a, *of_one([0]))
 
     def test_out_of_range(self):
         a = CscMatrix.identity(3)
-        ws = ls_init(a, 0, [0])
+        ws = ls_init(a, [0], *of_one([0]))
         with pytest.raises(ValueError):
-            ws.augment(a, [5])
+            ws.augment(a, *of_one([5]))
 
 
 class TestBatchFailure:
     def test_guard_trip_mid_build_reads_nan_and_leaves_no_state(self):
         # the lockstep builds stop a failed target by its NaN residual norm alone
         a = CscMatrix.from_dense(np.eye(8) + np.diag(np.ones(7), 1) + np.diag(np.ones(7), -1))
-        ws = ls_init(a, np.array([0, 4]), (np.array([0, 1]), np.array([0, 4])),
+        ws = ls_init(a, np.array([0, 4]), np.array([0, 4]), np.array([0, 1]),
                      max_workspace_bytes=200)
         assert not ws.errors and np.isfinite(ws.residual_norms).all()
         ws.augment(a, [1, 2, 3, 5, 6, 7], [0, 1, 1, 1, 1, 1])
@@ -150,7 +173,7 @@ class TestBatchFailure:
         a = CscMatrix.from_dense(np.diag([2.0, 1e-310, 4.0]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            ws = ls_init(a, np.arange(3), (np.arange(3), np.arange(3)))
+            ws = ls_init(a, np.arange(3), np.arange(3), np.arange(3))
         assert list(ws.errors) == [1] and isinstance(ws.errors[1], DegeneratePatternError)
         assert np.isnan(ws.residual_norms[1])
         assert ws.residual_norms[[0, 2]].tolist() == [0.0, 0.0]
@@ -165,28 +188,27 @@ class TestDrop:
                           [0.0, 1.0, 0.0],
                           [0.0, 0.0, 0.0]])
         a = CscMatrix.from_dense(dense)
-        ws = ls_init(a, 0, [0, 1, 2])
-        sol = ws.solution().to_dense()
-        assert sol[2] == 0.0
-        before = ws.residual_norm
-        ws2 = ws.drop_columns(a, [2])
-        assert abs(ws2.residual_norm - before) <= 1e-12
+        ws = ls_init(a, [0], *of_one([0, 1, 2]))
+        assert dense_solution(ws)[2] == 0.0
+        before = ws.residual_norms[0]
+        ws.drop_columns(a, *of_one([2]))
+        assert abs(ws.residual_norms[0] - before) <= 1e-12
 
     def test_drop_then_readd(self):
         rng = np.random.default_rng(9)
         dense = rng.standard_normal((8, 8))
         a = CscMatrix.from_dense(dense)
-        ws = ls_init(a, 3, [3, 1, 5])
-        sol_before = ws.solution().to_dense()
-        ws2 = ws.drop_columns(a, [5])
-        ws2.augment(a, [5])
-        assert np.allclose(ws2.solution().to_dense(), sol_before, atol=1e-9)
+        ws = ls_init(a, [3], *of_one([3, 1, 5]))
+        sol_before = dense_solution(ws)
+        ws.drop_columns(a, *of_one([5]))
+        ws.augment(a, *of_one([5]))
+        assert np.allclose(dense_solution(ws), sol_before, atol=1e-9)
 
     def test_drop_everything_rejected(self):
         a = CscMatrix.identity(2)
-        ws = ls_init(a, 0, [0])
-        with pytest.raises(DegeneratePatternError):
-            ws.drop_columns(a, [0])
+        ws = ls_init(a, [0], *of_one([0]))
+        ws.drop_columns(a, *of_one([0]))
+        assert_failed(ws, DegeneratePatternError, "cannot drop every pattern column")
 
 
 @st.composite
@@ -206,17 +228,16 @@ def ls_instances(draw):
 def test_matches_svd_oracle_and_recomputation(instance):
     dense, k, cols, _ = instance
     a = CscMatrix.from_dense(dense)
-    try:
-        ws = ls_init(a, k, cols)
-    except DegeneratePatternError:
-        cols_dense = dense[:, sorted(cols)]
-        assert not cols_dense.any()
+    ws = ls_init(a, [k], *of_one(cols))
+    if ws.errors:
+        assert_failed(ws, DegeneratePatternError, "pattern selects an all-zero submatrix")
+        assert not dense[:, sorted(cols)].any()
         return
+    norm = ws.residual_norms[0]
     oracle = dense_ls_residual(dense, cols, k)
-    assert abs(ws.residual_norm - oracle) <= 1e-9 * max(1.0, oracle)
+    assert abs(norm - oracle) <= 1e-9 * max(1.0, oracle)
     # stored residual equals a from-scratch evaluation over the full system
-    assert abs(ws.residual_norm - full_residual(dense, ws)) <= \
-        1e-10 * max(1.0, ws.residual_norm)
+    assert abs(norm - full_residual(dense, ws)) <= 1e-10 * max(1.0, norm)
 
 
 @settings(max_examples=50, deadline=None)
@@ -224,21 +245,19 @@ def test_matches_svd_oracle_and_recomputation(instance):
 def test_augment_monotonicity(instance):
     dense, k, cols, rng = instance
     a = CscMatrix.from_dense(dense)
-    try:
-        ws = ls_init(a, k, cols)
-    except DegeneratePatternError:
+    ws = ls_init(a, [k], *of_one(cols))
+    if ws.errors:
         return
     n = dense.shape[1]
     remaining = np.setdiff1d(np.arange(n), ws.cols)
-    prev = ws.residual_norm
+    prev = ws.residual_norms[0]
     while len(remaining):
         take = remaining[: max(1, len(remaining) // 2)]
         remaining = remaining[len(take):]
-        ws.augment(a, take)
-        assert ws.residual_norm <= prev + 1e-12
-        prev = ws.residual_norm
-    assert abs(ws.residual_norm - full_residual(dense, ws)) <= \
-        1e-10 * max(1.0, ws.residual_norm)
+        ws.augment(a, *of_one(take))
+        assert ws.residual_norms[0] <= prev + 1e-12
+        prev = ws.residual_norms[0]
+    assert abs(prev - full_residual(dense, ws)) <= 1e-10 * max(1.0, prev)
 
 
 def one_column_block(rng) -> tuple[np.ndarray, np.ndarray]:
@@ -355,9 +374,9 @@ def test_blocks_no_stack_solves_match_householder_exactly():
         cols += range(c0, c0 + b.shape[1])
         spans.append(slice(c0, c0 + b.shape[1]))
         r0, c0 = r0 + b.shape[0], c0 + b.shape[1]
-    ws = ls_init(CscMatrix.from_dense(dense), np.array(ks), (np.array(owner), np.array(cols)))
+    ws = ls_init(CscMatrix.from_dense(dense), np.array(ks), np.array(cols), np.array(owner))
     for t, b in enumerate(blocks):
-        got = ws.solution(t).to_dense()[spans[t]]
+        got = dense_solution(ws, t)[spans[t]]
         y, active = lstsq._householder_solve(b, (np.arange(len(b)) == 1).astype(np.float64))
         want = np.zeros(b.shape[1])
         want[active] = y

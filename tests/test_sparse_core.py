@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from saikit import (CscMatrix, MatrixMarketError, SparseVector,
                     StructurallySingularError, UnsupportedFieldError,
                     column_stats, matvec, norm1, norm_inf,
-                    permute_rows, read_matrix_market, transpose,
+                    permute_rows, read_matrix_market,
                     write_matrix_market, zero_free_diagonal_permutation)
 from saikit.sparse_core import (key_parts, member, owners, pointers, run_starts,
                                 sorted_unique)
@@ -328,16 +328,6 @@ class TestNorms:
 
         assert norm1(a) == seq_sums(dense, 0).max()
         assert norm_inf(a) == seq_sums(dense, 1).max()
-
-
-class TestTranspose:
-    def test_involution_and_oracle(self):
-        rng = np.random.default_rng(2)
-        dense = rng.standard_normal((7, 5)) * (rng.random((7, 5)) < 0.5)
-        a = CscMatrix.from_dense(dense)
-        at = transpose(a)
-        assert np.array_equal(at.to_dense(), dense.T)
-        assert transpose(at).same_as(a)
 
 
 class TestPermuteRows:
