@@ -52,9 +52,16 @@ def _dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->j", u, v)
 
 
-def _broken(values: np.ndarray, floor) -> np.ndarray:
-    """Where a recurrence scalar is below its floor in magnitude, or not finite."""
-    return ~(np.abs(values) >= floor) | np.isinf(values)
+def _sound(values, floor) -> np.ndarray:
+    """Where the recurrence scalars ``values`` (one per system, or a tuple of
+    such arrays) are finite and at least ``floor`` in magnitude."""
+    mags = np.abs(values)
+    return (mags >= floor) & (mags < np.inf)
+
+
+def _whole(mask: np.ndarray) -> bool:
+    """Whether ``mask`` holds everywhere (``count_nonzero`` is the cheapest test)."""
+    return np.count_nonzero(mask) == mask.size
 
 
 def bicgstab(apply_op: Callable[[np.ndarray], np.ndarray],
@@ -109,8 +116,11 @@ def bicgstab(apply_op: Callable[[np.ndarray], np.ndarray],
         best_x = np.empty_like(r)
         rho, alpha, omega = (np.ones(k) for _ in range(3))
         floor = _BREAKDOWN_REL * norm_b * norm_b
-        since_improved = np.zeros(k, dtype=np.int64)
+        # A column has gone ``it - last_good`` full steps without improving: an
+        # improvement sets last_good to its step, or on a half step to the one before.
+        last_good = np.zeros(k, dtype=np.int64)
         live = np.ones(k, dtype=bool)
+        n_live = k
 
         def true_rr(idx: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             """Residuals ``b - A x`` of live columns ``idx`` and their relative norms."""
@@ -120,10 +130,12 @@ def bicgstab(apply_op: Callable[[np.ndarray], np.ndarray],
 
         def stop(mask: np.ndarray, it: int, flag: str) -> None:
             """End the live columns in ``mask`` with their best iterate: every exit."""
+            nonlocal n_live
             idx = (mask & live).nonzero()[0]
             if len(idx) == 0:
                 return
             live[idx] = False
+            n_live -= len(idx)
             xs = np.where(at_x[idx], x[:, idx], best_x[:, idx])
             unknown = np.isnan(best_true[idx])
             if unknown.any():
@@ -139,6 +151,7 @@ def bicgstab(apply_op: Callable[[np.ndarray], np.ndarray],
             ``est`` estimates the residual of ``x`` from ``r``; a column whose
             true residual misses its target has that residual written over ``r``.
             """
+            nonlocal at_x
             known = np.nan                  # the true residuals of x, where computed
             met = live & (est <= tol)
             hit = met.nonzero()[0]
@@ -155,19 +168,19 @@ def bicgstab(apply_op: Callable[[np.ndarray], np.ndarray],
             # A non-finite estimate compares false, so it is never an improvement.
             improved = live & (est < best_rr * (1.0 - 1e-12))
             kept = (at_x > improved).nonzero()[0]     # the iterate before x stays the best
-            best_x[:, kept] = x_prev[:, kept]
-            np.copyto(at_x, improved)
-            np.copyto(best_rr, est, where=improved)
-            np.copyto(best_true, known, where=improved)
-            if full_step:
-                since_improved[:] += 1
-            np.copyto(since_improved, 0, where=improved)
+            if len(kept):
+                best_x[:, kept] = x_prev[:, kept]
+            at_x = improved
+            if np.count_nonzero(improved):
+                np.copyto(best_rr, est, where=improved)
+                np.copyto(best_true, known, where=improved)
+                np.copyto(last_good, it if full_step else it - 1, where=improved)
 
         stop(best_rr <= tol, 0, "converged")      # zero columns, and starts that meet tol
         it = 0
         # Columns that finish mid-step ride along until the next step starts.
-        while live.any() and it < max_iter:
-            if not live.all():
+        while n_live and it < max_iter:
+            if n_live < len(cols):
                 # One array at a time, so each is freed before the next is copied.
                 keep = live.nonzero()[0]
                 x = x[:, keep]
@@ -182,8 +195,8 @@ def bicgstab(apply_op: Callable[[np.ndarray], np.ndarray],
                 work, x_prev = np.empty_like(r), np.empty_like(r)
                 cols, norm_b, tol, floor, rho, alpha, omega = (
                     vec[keep] for vec in (cols, norm_b, tol, floor, rho, alpha, omega))
-                best_rr, best_true, at_x, since_improved, live = (
-                    vec[keep] for vec in (best_rr, best_true, at_x, since_improved, live))
+                best_rr, best_true, at_x, last_good, live = (
+                    vec[keep] for vec in (best_rr, best_true, at_x, last_good, live))
             it += 1
             rho_new = _dots(r_shadow, r)
             beta = (rho_new / rho) * (alpha / omega)
@@ -195,8 +208,10 @@ def bicgstab(apply_op: Callable[[np.ndarray], np.ndarray],
             p_hat = prec(p)
             v = apply_op(p_hat)
             denom = _dots(r_shadow, v)
-            # neither x nor the best iterate has moved yet this step
-            stop(_broken(rho_new, floor) | _broken(denom, floor), it - 1, "breakdown")
+            sound = _sound((rho_new, denom), floor)
+            if not _whole(sound):
+                # neither x nor the best iterate has moved yet this step
+                stop(~sound.all(axis=0), it - 1, "breakdown")
             alpha = rho_new / denom
             np.multiply(v, alpha, out=work)
             r -= work                      # r is now s, the half-step residual
@@ -210,7 +225,9 @@ def bicgstab(apply_op: Callable[[np.ndarray], np.ndarray],
             t = apply_op(s_hat)
             # omega is broken also when t t is 0 or not finite
             omega = _dots(t, r) / _dots(t, t)
-            stop(_broken(omega, _BREAKDOWN_REL), it, "breakdown")
+            sound = _sound(omega, _BREAKDOWN_REL)
+            if not _whole(sound):
+                stop(~sound, it, "breakdown")
             np.multiply(s_hat, omega, out=x_prev)     # before r changes: s_hat may be r
             x_prev += x
             x, x_prev = x_prev, x
@@ -219,8 +236,11 @@ def bicgstab(apply_op: Callable[[np.ndarray], np.ndarray],
             del s_hat, t
             est = np.sqrt(_dots(r, r)) / norm_b
             judge(est, it, full_step=True)
-            stop(~np.isfinite(est), it, "breakdown")
-            stop(since_improved >= _STAGNATION_WINDOW, it, "stagnation")
+            finite = np.isfinite(est)
+            if not _whole(finite):
+                stop(~finite, it, "breakdown")
+            if it >= _STAGNATION_WINDOW:
+                stop(it - last_good >= _STAGNATION_WINDOW, it, "stagnation")
             rho = rho_new
         stop(live, it, "max_iter")
 

@@ -22,6 +22,8 @@ from typing import IO, Union
 import numpy as np
 from scipy.sparse import csc_matrix as _scipy_csc
 from scipy.sparse import csr_matrix as _scipy_csr
+from scipy.sparse._sparsetools import csc_matvec as _csc_matvec
+from scipy.sparse._sparsetools import csc_matvecs as _csc_matvecs
 from scipy.sparse.csgraph import min_weight_full_bipartite_matching as _min_weight_matching
 
 
@@ -223,7 +225,8 @@ class CscMatrix:
 
     @cached_property
     def _scipy(self) -> _scipy_csc:
-        """scipy CSC copy, built on first use; its products sum in storage order."""
+        """scipy CSC copy, built on first use, for the SPAI candidate products and
+        the connectivity test; :func:`matvec` needs none."""
         return _scipy_csc((self.values, self.row_idx, self.col_ptr),
                           shape=(self.n_rows, self.n_cols))
 
@@ -323,14 +326,24 @@ def matvec(a: CscMatrix, x) -> np.ndarray:
     """y = A x with a fixed column-major accumulation order.
 
     ``x`` is a vector or an ``(n_cols, k)`` block; each column of a block
-    gets the bits it would get alone. scipy reads a C-order block without a
-    copy and copies an F-order one.
+    gets the bits it would get alone. The product runs scipy's compiled
+    CSC kernels on ``a``'s own arrays, as ``csc_matrix @ x`` does, with no
+    scipy matrix built: a vector and a one-column block go through
+    ``csc_matvec``, a wider block through ``csc_matvecs``, which reads it
+    in C order, so an F-order block is copied first. Every call returns a
+    new zeroed C-order array that the caller may keep and write.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim not in (1, 2) or x.shape[0] != a.n_cols:
         raise ValueError(f"dimension mismatch: matrix has {a.n_cols} columns, "
                          f"vector has shape {x.shape}")
-    return a._scipy @ x
+    y = np.zeros((a.n_rows,) + x.shape[1:])
+    if x.ndim == 1 or x.shape[1] == 1:
+        _csc_matvec(a.n_rows, a.n_cols, a.col_ptr, a.row_idx, a.values, x.ravel(), y.ravel())
+    else:
+        _csc_matvecs(a.n_rows, a.n_cols, x.shape[1], a.col_ptr, a.row_idx, a.values,
+                     x.ravel(), y.ravel())
+    return y
 
 
 def abs_sums(a: CscMatrix, axis: int) -> np.ndarray:

@@ -91,19 +91,23 @@ def split(a: CscMatrix, factor: float = 10.0, strategy: str = "nearest",
                            irregular_cols=np.empty(0, dtype=np.int64),
                            strategy=strategy, p_kept=p_kept)
 
-    # entries that move to U: all of each irregular column but the kept ones
+    # entries that move to U: all of each irregular column but the p_kept kept ones
     moved = np.zeros(a.nnz, dtype=bool)
     for j in irregular:
         lo, hi = a.col_ptr[j], a.col_ptr[j + 1]
         rows, vals = a.col(j)
         moved[lo:hi] = True
         moved[lo + _keep_indices(rows, vals, j, p_kept, strategy)] = False
-    cols = a.entry_cols()
+    # Both parts take A's entries in storage order, so they stay sorted,
+    # unique and nonzero: no from_coo sort, sum or purge is needed.
     kept = ~moved
-    a_tilde = CscMatrix.from_coo(a.n_rows, a.n_cols, a.row_idx[kept], cols[kept],
-                                 a.values[kept])
-    u = CscMatrix.from_coo(a.n_rows, len(irregular), a.row_idx[moved],
-                           np.searchsorted(irregular, cols[moved]), a.values[moved])
+    counts = a.per_col_nnz              # a new array, so it may be written
+    n_moved = counts[irregular] - p_kept
+    counts[irregular] = p_kept
+    a_tilde = CscMatrix(a.n_rows, a.n_cols, np.concatenate(([0], np.cumsum(counts))),
+                        a.row_idx[kept], a.values[kept])
+    u = CscMatrix(a.n_rows, len(irregular), np.concatenate(([0], np.cumsum(n_moved))),
+                  a.row_idx[moved], a.values[moved])
     return SplitSystem(a_tilde=a_tilde, u=u, irregular_cols=irregular,
                        strategy=strategy, p_kept=p_kept)
 

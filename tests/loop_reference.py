@@ -43,7 +43,9 @@ imports aside; ``_solve_systems`` finds ``bicgstab`` and ``matvec`` as
 module globals, so it runs the loop kernels of this module. So is the
 first block BiCGStab, renamed ``block_bicgstab``, with its ``_block`` and
 helpers: it took a vector or a block, ended a column in four places and
-compacted the start exits out before its loop.
+compacted the start exits out before its loop. The tests give it products
+built column by column with this module's ``matvec``, so neither its
+arithmetic nor its products share code with the solver they check.
 
 The driver's two solve paths are kept too: ``solve_standard`` with its own
 single solve (``_standard_on``), and ``solve_irregular`` with its posthoc

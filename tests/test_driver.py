@@ -528,6 +528,47 @@ def test_untraced_build_makes_no_per_column_objects(method, monkeypatch):
     assert stats["n_c" if method == "spai" else "n_failed"] >= 1
 
 
+def test_solve_calls_what_the_bench_tracer_wraps(monkeypatch):
+    # perfbench's tracer wraps driver.matvec, driver.bicgstab, driver.split and
+    # driver.psai, looked up at call time. It counts an A~ product as one made
+    # inside bicgstab, an M product as one whose args[0] is the built M, and
+    # the rr check as the product solve_irregular makes itself.
+    a = generate_test_matrix("dominant-row", 60, planted_dense_cols=3, seed=3)
+    original = {name: getattr(driver, name) for name in ("matvec", "bicgstab", "split", "psai")}
+    seen, inside, made = [], [], {}
+
+    def counted_matvec(*args, **kwargs):
+        seen.append((args[0], bool(inside)))
+        return original["matvec"](*args, **kwargs)
+
+    def counted_bicgstab(*args, **kwargs):
+        inside.append(True)
+        try:
+            return original["bicgstab"](*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def counted_split(*args, **kwargs):
+        made["split"] = original["split"](*args, **kwargs)
+        return made["split"]
+
+    def counted_psai(*args, **kwargs):
+        made["m"] = original["psai"](*args, **kwargs)
+        return made["m"]
+
+    for name, fn in [("matvec", counted_matvec), ("bicgstab", counted_bicgstab),
+                     ("split", counted_split), ("psai", counted_psai)]:
+        monkeypatch.setattr(driver, name, fn)
+    rep = solve_irregular(a, matvec(a, np.ones(60)))
+    a_tilde, m = made["split"].a_tilde, made["m"][0]
+    assert rep.s == 3 and rep.converged and a_tilde is not a
+    a_applies = sum(1 for arg, within in seen if arg is a_tilde and within)
+    m_applies = sum(1 for arg, within in seen if arg is m and within)
+    assert a_applies >= m_applies > 0
+    assert [arg for arg, within in seen if not within] == [a]
+    assert a_applies + m_applies + 1 == len(seen)
+
+
 @pytest.mark.parametrize("method", ["spai", "psai"])
 def test_guard_hits_count_guard_failures_by_type(method):
     # the dense columns' fits trip a small guard; the empty column 7 fails as degenerate

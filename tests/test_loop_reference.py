@@ -12,7 +12,10 @@ rounding level, but the candidates and the SPAI preconditioner built from
 them must not. The block BiCGStab judges convergence on the recursive
 residual where the loop judged it on the true one, so a column may stop
 one iteration apart, but with the same flag and a true reported residual.
-The one-exit block BiCGStab must match the first block solver byte for byte.
+The one-exit block BiCGStab must match the first block solver byte for byte,
+the solver on ``matvec``'s block products and the oracle on products built
+column by column with the ``bincount`` kernel, so a change in the bits of
+either the step or the product kernel shows.
 The least-squares kernel solves one-column blocks in closed form where the
 loop ran LAPACK's QR on them, so SPAI and PSAI built on the two must have
 the same pattern and values equal to within rounding.
@@ -168,13 +171,25 @@ def test_vector_rejects_non_finite():
 
 
 @settings(max_examples=200, deadline=None)
-@given(seeds)
-def test_products_match_bincount(seed):
+@given(seeds, st.sampled_from([None, 0, 1, 2, 5]), st.booleans())
+def test_products_match_bincount(seed, k, fortran):
+    # a vector (k None) or an (n, k) block in either order, of a matrix that
+    # may be rectangular or empty: every column has the bits of the bincount
+    # product and of scipy's csc_matrix @ x, and no scipy matrix is cached
     rng = np.random.default_rng(seed)
     a = CscMatrix.from_dense(random_matrix(rng))
-    x = rng.standard_normal(a.n_cols)
+    x = rng.standard_normal(a.n_cols if k is None else (a.n_cols, k))
+    if fortran:
+        x = np.asfortranarray(x)
     got = matvec(a, x)
-    assert got.dtype == np.float64 and np.array_equal(got, loop_reference.matvec(a, x))
+    matvec(a, x)
+    assert "_scipy" not in a.__dict__
+    assert got.dtype == np.float64 and got.flags.c_contiguous
+    assert got.shape == (a.n_rows,) + x.shape[1:]
+    scipy_a = csc_matrix((a.values, a.row_idx, a.col_ptr), shape=(a.n_rows, a.n_cols))
+    for col, xj in ([(got, x)] if k is None else zip(got.T, x.T)):
+        assert col.tobytes() == loop_reference.matvec(a, xj).tobytes()
+        assert col.tobytes() == (scipy_a @ xj).tobytes()
 
 
 @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0), (4, 2), (2, 4)])
@@ -459,6 +474,31 @@ def test_block_bicgstab_matches_per_system_loop(seed, k, max_iter, precond):
     assert got.iterations == most if got.flag == "converged" else got.iterations >= most
 
 
+def columnwise(a: CscMatrix):
+    """``x -> A x`` for a block, one column at a time with the bincount product."""
+    def apply(x: np.ndarray) -> np.ndarray:
+        out = np.zeros((a.n_rows, x.shape[1]))
+        for j in range(x.shape[1]):
+            out[:, j] = loop_reference.matvec(a, x[:, j])
+        return out
+    return apply
+
+
+def assert_one_exit_matches_block_reference(a, m, rhs, x0, tols, max_iter):
+    """The one-exit solver on the kernel's products against the first block
+    solver on products of its own, byte for byte."""
+    got = bicgstab(lambda x: matvec(a, x), rhs, x0, apply_precond=lambda x: matvec(m, x),
+                   tol=tols, max_iter=max_iter)
+    want = loop_reference.block_bicgstab(columnwise(a), rhs, x0, apply_precond=columnwise(m),
+                                         tol=tols, max_iter=max_iter)
+    assert (got.iterations, got.flag) == (want.iterations, want.flag)
+    assert len(got.columns) == len(want.columns) == rhs.shape[1]
+    for j, (g, w) in enumerate(zip(got.columns, want.columns)):
+        assert (g.flag, g.iterations) == (w.flag, w.iterations), j
+        assert g.x.tobytes() == w.x.tobytes(), j
+        assert np.float64(g.rel_residual).tobytes() == np.float64(w.rel_residual).tobytes(), j
+
+
 @settings(max_examples=200, deadline=None)
 @given(seeds, st.integers(1, 6), st.sampled_from([1, 3, 500]),
        st.sampled_from(["dominant-row", "m-matrix", "singular", "skew"]),
@@ -484,15 +524,32 @@ def test_one_exit_bicgstab_matches_block_reference(seed, k, max_iter, kind, prec
     tols = 10.0 ** -rng.integers(1, 12, size=k).astype(float)
     if rng.random() < 0.3:
         x0 = None
-    args = (lambda x: matvec(a, x), rhs, x0)
-    kwargs = dict(apply_precond=lambda x: matvec(m, x), tol=tols, max_iter=max_iter)
-    got, want = bicgstab(*args, **kwargs), loop_reference.block_bicgstab(*args, **kwargs)
-    assert (got.iterations, got.flag) == (want.iterations, want.flag)
-    assert len(got.columns) == len(want.columns) == k
-    for j, (g, w) in enumerate(zip(got.columns, want.columns)):
-        assert (g.flag, g.iterations) == (w.flag, w.iterations), j
-        assert g.x.tobytes() == w.x.tobytes(), j
-        assert np.float64(g.rel_residual).tobytes() == np.float64(w.rel_residual).tobytes(), j
+    assert_one_exit_matches_block_reference(a, m, rhs, x0, tols, max_iter)
+
+
+@pytest.mark.parametrize("n, planted, psai_cfg, eps, restart", [
+    (600, 3, PsaiConfig(delta=0.1), 1e-8, False),    # a psai-drop solve
+    (1500, 40, PsaiConfig(l_max=0), 1e-10, True),    # a file-many-rhs posthoc re-solve
+])
+def test_one_exit_bicgstab_matches_block_reference_at_bench_shapes(n, planted, psai_cfg, eps,
+                                                                   restart):
+    # the driver's block [b, U] and targets; the w_j systems finish first, so
+    # the compacted (F-order) block runs the last steps
+    a = generate_test_matrix("dominant-row", n, planted_dense_cols=planted, seed=n)
+    sys_ = split(a)
+    m = psai(sys_.a_tilde, psai_cfg)[0]
+    rhs = np.column_stack([matvec(a, np.ones(n)), sys_.u.to_dense()])
+    norm_b, *norm_u = np.linalg.norm(rhs, axis=0)
+    tol_y, tol_w = driver.subsystem_tolerances(eps, sys_.s, 1.0, norm_b, norm_u)
+    tols = np.concatenate([[tol_y], tol_w])
+    assert rhs.shape == (n, planted + 1)
+    x0 = None
+    if restart:       # from the first pass's iterates, at half the targets of c = sqrt(s)
+        first = bicgstab(lambda x: matvec(sys_.a_tilde, x), rhs,
+                         apply_precond=lambda x: matvec(m, x), tol=tols)
+        x0 = np.column_stack([o.x for o in first.columns])
+        tols = 0.5 * tols / np.sqrt(sys_.s)
+    assert_one_exit_matches_block_reference(sys_.a_tilde, m, rhs, x0, tols, 500)
 
 
 @settings(max_examples=60, deadline=None)

@@ -280,6 +280,12 @@ class TestMatvec:
         for j in range(k):
             assert y[:, j].tobytes() == matvec(a, x[:, j].copy()).tobytes()
 
+    def test_scipy_exposes_the_csc_kernels(self):
+        # matvec calls these private scipy kernels by name, so every scipy
+        # that pyproject.toml allows must have them
+        from scipy.sparse import _sparsetools
+        assert callable(_sparsetools.csc_matvec) and callable(_sparsetools.csc_matvecs)
+
     @pytest.mark.parametrize("shape", [(4,), (2, 4), (3, 2, 1)])
     def test_block_dim_mismatch(self, shape):
         with pytest.raises(ValueError, match="dimension mismatch"):
