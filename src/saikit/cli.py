@@ -162,11 +162,10 @@ def _method_fields(args, method: str) -> dict:
 
 def _driver_config(args, method: str) -> _driver.DriverConfig:
     c = _fixed_or(args.c_policy, "posthoc", "--c-policy")
-    policy = {"c_policy": "posthoc"} if c == "posthoc" else {"c_policy": "fixed", "c_fixed": c}
-    return _driver.DriverConfig(epsilon=args.eps, max_iter=args.max_iter,
+    return _driver.DriverConfig(epsilon=args.eps, c=c, max_iter=args.max_iter,
                                 preprocess=args.permute, factor=args.factor,
                                 strategy=args.strategy, p_kept=args.p_kept,
-                                **policy, **_method_fields(args, method))
+                                **_method_fields(args, method))
 
 
 def _load_rhs(a: CscMatrix, spec: str) -> np.ndarray:

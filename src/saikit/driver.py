@@ -8,19 +8,17 @@ residual, and recovery of x through the low-rank update formula. The
 report always carries the relative residual recomputed against the
 original A and b, never the solver's own estimate.
 
-The s-by-s update system I + V^T W is solved in :func:`assemble_solution`.
-Only the posthoc estimate of c solves it on its own, and stops there when
-it is singular.
+The s-by-s update system I + V^T W, with its one singularity rule, is solved
+in :func:`_update_system` for both the recovery of x and the posthoc c.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg.lapack import dgesv
 
 from .krylov import SolveOutcome, bicgstab
 from .psai import PsaiConfig, psai
@@ -43,8 +41,7 @@ class AssemblyError(ValueError):
 @dataclass
 class DriverConfig:
     epsilon: float = 1e-8
-    c_policy: str = "fixed"        # "fixed" uses c_fixed; "posthoc" re-tightens
-    c_fixed: float = 1.0
+    c: float | str = 1.0           # a fixed c, or "posthoc" to estimate it and re-tighten
     method: str = "psai"           # "spai" | "psai"
     max_iter: int = 500
     # "auto" | "always" | "never": the maximum-product row matching, run by
@@ -58,10 +55,12 @@ class DriverConfig:
     threads: int = 1
 
     def __post_init__(self):
-        for name in ("epsilon", "c_fixed", "factor"):
+        if self.c != "posthoc" and (isinstance(self.c, str) or not 0.0 < self.c < np.inf):
+            raise ValueError(f"c must be 'posthoc' or finite and positive, not {self.c!r}")
+        for name in ("epsilon", "factor"):
             if not 0.0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be finite and positive")
-        for name, allowed in (("c_policy", ("fixed", "posthoc")), ("method", ("spai", "psai")),
+        for name, allowed in (("method", ("spai", "psai")),
                               ("preprocess", ("auto", "always", "never")),
                               ("strategy", STRATEGIES)):
             if getattr(self, name) not in allowed:
@@ -96,33 +95,35 @@ class SolveReport:
         return out
 
 
-def assemble_solution(y_hat: np.ndarray, w_hat: np.ndarray,
-                      irregular_cols) -> tuple[np.ndarray, float]:
-    """x_hat = y_hat - W_hat (I + V^T W_hat)^{-1} (V^T y_hat).
+def _update_system(y_hat: np.ndarray, w_hat: np.ndarray,
+                   irregular_cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """z = (I + V^T W_hat)^{-1} V^T y_hat by one LAPACK ``dgesv``, and I + V^T W_hat.
 
-    V^T picks the irregular-column rows, so no general product is formed.
-    Returns the assembled solution and the condition estimate of the small
-    system. A non-finite system raises :class:`AssemblyError` with
-    ``cond = inf``; so does a singular one, with its condition estimate,
-    when an LU pivot is at most 1e-14 times the largest.
+    Raises :class:`AssemblyError` with ``cond = inf`` when it is not finite,
+    and with its condition number when an LU pivot is at most 1e-14 of the largest.
     """
-    y_hat = np.asarray(y_hat, dtype=np.float64)
-    irregular_cols = np.asarray(irregular_cols, dtype=np.int64)
-    s = len(irregular_cols)
-    if s == 0:
-        return y_hat.copy(), 1.0
-    w_hat = np.asarray(w_hat, dtype=np.float64)
-    c_mat = np.eye(s) + w_hat[irregular_cols, :]
+    c_mat = np.eye(len(irregular_cols)) + w_hat[irregular_cols, :]
     if not np.isfinite(c_mat).all():
         raise AssemblyError("assembly system I + V^T W_hat is not finite", np.inf)
-    cond = float(np.linalg.cond(c_mat))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # the pivot check below reports it
-        lu, piv = lu_factor(c_mat)
+    lu, _, z, _ = dgesv(c_mat, y_hat[irregular_cols])
     pivots = np.abs(np.diag(lu))
     if pivots.min() <= 1e-14 * pivots.max():
-        raise AssemblyError("assembly system I + V^T W_hat is singular", cond)
-    return y_hat - w_hat @ lu_solve((lu, piv), y_hat[irregular_cols]), cond
+        raise AssemblyError("assembly system I + V^T W_hat is singular",
+                            float(np.linalg.cond(c_mat)))
+    return z, c_mat
+
+
+def assemble_solution(y_hat: np.ndarray, w_hat: np.ndarray,
+                      irregular_cols) -> tuple[np.ndarray, float]:
+    """x_hat = y_hat - W_hat z, with z and its errors from :func:`_update_system`;
+    returns x_hat and the condition number of the small system."""
+    y_hat = np.asarray(y_hat, dtype=np.float64)
+    irregular_cols = np.asarray(irregular_cols, dtype=np.int64)
+    if len(irregular_cols) == 0:
+        return y_hat.copy(), 1.0
+    w_hat = np.asarray(w_hat, dtype=np.float64)
+    z, c_mat = _update_system(y_hat, w_hat, irregular_cols)
+    return y_hat - w_hat @ z, float(np.linalg.cond(c_mat))
 
 
 def subsystem_tolerances(epsilon: float, s: int, c: float, norm_b: float,
@@ -277,10 +278,10 @@ def _solve_split(a0: CscMatrix, b0: np.ndarray, a_tilde: CscMatrix, b_w: np.ndar
     One 2-norm per column of the dense block [b_w, U] serves, before any
     build, both the input check, which names a bad column of A, and every
     target, all from :func:`subsystem_tolerances`. The s + 1 systems are one
-    block BiCGStab call. Under the posthoc policy each round re-solves, in
-    one more block call from their last iterates at half their targets, the
-    systems whose residuals miss the targets that the current estimate of c
-    sets.
+    block BiCGStab call. Under ``c = "posthoc"`` the first pass budgets with
+    c = 1; each round re-solves, in one more block call from their last
+    iterates at half their targets, the systems whose residuals miss the
+    targets that c = ||z|| sets, and a rejected update system ends them.
     """
     s = len(irregular_cols)
     rhs = np.column_stack([b_w, u.to_dense()])
@@ -290,7 +291,7 @@ def _solve_split(a0: CscMatrix, b0: np.ndarray, a_tilde: CscMatrix, b_w: np.ndar
         if not 0.0 < norm < np.inf:
             raise ValueError(f"split-off part of column {col} has norm {norm} in float64; "
                              "rescale A and b")
-    c_now = cfg.c_fixed if cfg.c_policy == "fixed" else 1.0
+    c_now = 1.0 if cfg.c == "posthoc" else cfg.c
     tol_y, tol_w = subsystem_tolerances(cfg.epsilon, s, c_now, norm_b, norm_u)
     targets = np.concatenate([[tol_y], tol_w])
     if m is None:
@@ -301,11 +302,10 @@ def _solve_split(a0: CscMatrix, b0: np.ndarray, a_tilde: CscMatrix, b_w: np.ndar
     w_hat = lambda: np.column_stack([np.empty((len(b_w), 0))] + [o.x for o in outcomes[1:]])
     posthoc_c = None
 
-    for _ in range(POSTHOC_ROUNDS if cfg.c_policy == "posthoc" and s else 0):
-        c_mat = np.eye(s) + w_hat()[irregular_cols, :]
+    for _ in range(POSTHOC_ROUNDS if cfg.c == "posthoc" and s else 0):
         try:
-            z = np.linalg.solve(c_mat, outcomes[0].x[irregular_cols])
-        except np.linalg.LinAlgError:
+            z, _ = _update_system(outcomes[0].x, w_hat(), irregular_cols)
+        except AssemblyError:
             break
         posthoc_c = float(np.linalg.norm(z))
         c_eff = max(posthoc_c, np.finfo(float).tiny)

@@ -54,7 +54,14 @@ rebuilt the re-solve list with a ``-1`` marker for ``y``. They call the
 driver's ``build_preconditioner``, ``assemble_solution`` and
 ``_finish_report``, which now takes the ``s + 1`` outcomes as one list, and
 solve each list of systems as one block through the driver's
-``_solve_block`` (``_solve_block`` here stacks the list).
+``_solve_block`` (``_solve_block`` here stacks the list). Their posthoc
+rounds still solve for z with ``np.linalg.solve``, and they read the one
+``c`` setting that replaced ``c_policy`` and ``c_fixed``.
+
+The update system's solve in ``assemble_solution``, through scipy's
+``lu_factor`` and ``lu_solve`` with its warnings silenced, the 1e-14 pivot
+rule and ``np.linalg.cond`` taken first, is kept verbatim, less the ``s = 0``
+shortcut and returning z in place of x, as ``update_system``.
 
 The test-matrix generator, which drew each column's rows from an
 ``(n - 1)``-element array, is kept verbatim, its argument checks aside, as
@@ -64,16 +71,18 @@ The test-matrix generator, which drew each column's rows from an
 from __future__ import annotations
 
 import math
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.linalg import lu_factor, lu_solve
 from scipy.sparse import csc_matrix as _scipy_csc
 from scipy.sparse.csgraph import maximum_bipartite_matching as _max_matching
 
 from saikit import driver
-from saikit.driver import DriverConfig, SolveReport
+from saikit.driver import AssemblyError, DriverConfig, SolveReport
 from saikit.krylov import BlockOutcome, SolveOutcome
 from saikit.lstsq import (DegeneratePatternError, LsWorkspace, WorkspaceGuardError,
                           _householder_solve)
@@ -1057,14 +1066,14 @@ def solve_irregular(a: CscMatrix, b: np.ndarray,
         u_dense[i][rows] = vals
     norm_u = np.array([float(np.linalg.norm(col)) for col in u_dense])
 
-    c_now = cfg.c_fixed if cfg.c_policy == "fixed" else 1.0
+    c_now = 1.0 if cfg.c == "posthoc" else cfg.c
     tol_y, tol_w = driver.subsystem_tolerances(cfg.epsilon, s, c_now, norm_b, norm_u)
     outcomes = _solve_block(sys.a_tilde, m, [b_w] + u_dense,
                                      [tol_y] + list(tol_w), cfg.max_iter)
     outcome_y, outcomes_w = outcomes[0], outcomes[1:]
     posthoc_c = None
 
-    if cfg.c_policy == "posthoc":
+    if cfg.c == "posthoc":
         for _ in range(POSTHOC_ROUNDS):
             w_hat = np.column_stack([o.x for o in outcomes_w])
             c_mat = np.eye(s) + w_hat[sys.irregular_cols, :]
@@ -1114,6 +1123,25 @@ def solve_irregular(a: CscMatrix, b: np.ndarray,
     x_hat, cond = driver.assemble_solution(outcome_y.x, w_hat, sys.irregular_cols)
     return _finish_report(a, b, x_hat, cfg, outcome_y, outcomes_w, stats,
                           cond, s, posthoc_c)
+
+
+def update_system(y_hat: np.ndarray, w_hat: np.ndarray,
+                  irregular_cols) -> tuple[np.ndarray, float]:
+    y_hat = np.asarray(y_hat, dtype=np.float64)
+    irregular_cols = np.asarray(irregular_cols, dtype=np.int64)
+    s = len(irregular_cols)
+    w_hat = np.asarray(w_hat, dtype=np.float64)
+    c_mat = np.eye(s) + w_hat[irregular_cols, :]
+    if not np.isfinite(c_mat).all():
+        raise AssemblyError("assembly system I + V^T W_hat is not finite", np.inf)
+    cond = float(np.linalg.cond(c_mat))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the pivot check below reports it
+        lu, piv = lu_factor(c_mat)
+    pivots = np.abs(np.diag(lu))
+    if pivots.min() <= 1e-14 * pivots.max():
+        raise AssemblyError("assembly system I + V^T W_hat is singular", cond)
+    return lu_solve((lu, piv), y_hat[irregular_cols]), cond
 
 
 def generate_test_matrix(kind: str, n: int, density: float | None = None,

@@ -246,7 +246,7 @@ def test_criterion_6_end_to_end_accuracy():
 
     a_values_fixed = []
     for a in instances:
-        cfg = DriverConfig(epsilon=eps, method="psai", c_policy="fixed",
+        cfg = DriverConfig(epsilon=eps, method="psai", c=1.0,
                            factor=dense_split_factor(a))
         rep = solve_irregular(a, matvec(a, np.ones(a.n_rows)), cfg)
         assert rep.s >= 1
@@ -256,7 +256,7 @@ def test_criterion_6_end_to_end_accuracy():
 
     a_values_posthoc = []
     for a in instances:
-        cfg = DriverConfig(epsilon=eps, method="psai", c_policy="posthoc",
+        cfg = DriverConfig(epsilon=eps, method="psai", c="posthoc",
                            factor=dense_split_factor(a))
         rep = solve_irregular(a, matvec(a, np.ones(a.n_rows)), cfg)
         a_values_posthoc.append(rep.a)

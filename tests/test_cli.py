@@ -318,10 +318,26 @@ class TestPrecondSolve:
 
     @pytest.mark.parametrize("flags", [["--eps", "inf"], ["--eps", "nan"],
                                        ["--c-policy", "fixed:inf"], ["--tol", "fixed:nan"],
-                                       ["--factor", "nan"], ["--factor", "inf"]])
+                                       ["--factor", "nan"], ["--factor", "inf"],
+                                       ["--c-policy", "fixed:0"], ["--c-policy", "fixed:-1"],
+                                       ["--c-policy", "bogus"]])
     def test_non_finite_setting_exit_two(self, capsys, irregular_mtx, flags):
         assert main(["solve", irregular_mtx[0]] + flags) == 2
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("flag, c", [("fixed:0.5", 0.5), ("posthoc", "posthoc")])
+    def test_c_policy_is_the_driver_c(self, capsys, monkeypatch, irregular_mtx, flag, c):
+        seen = []
+        solve = driver.solve_irregular
+
+        def recording(a, b, cfg):
+            seen.append(cfg.c)
+            return solve(a, b, cfg)
+
+        monkeypatch.setattr(driver, "solve_irregular", recording)
+        assert main(["solve", irregular_mtx[0], "--c-policy", flag]) in (0, 1)
+        capsys.readouterr()
+        assert seen == [c]
 
     @pytest.mark.parametrize("flags", [["--threads", "0"], ["--threads", "-3"],
                                        ["--max-iter", "0"], ["--p-kept", "0"],

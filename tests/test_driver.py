@@ -20,7 +20,7 @@ def exact_recovery(a_tilde: np.ndarray, u: np.ndarray, irregular_cols, b) -> np.
 
 class TestDriverConfig:
     @pytest.mark.parametrize("value", [np.inf, np.nan])
-    @pytest.mark.parametrize("name", ["epsilon", "c_fixed", "factor"])
+    @pytest.mark.parametrize("name", ["epsilon", "c", "factor"])
     def test_non_finite_setting_rejected(self, name, value):
         with pytest.raises(ValueError):
             DriverConfig(**{name: value})
@@ -32,9 +32,15 @@ class TestDriverConfig:
             DriverConfig(**{name: value})
 
     @pytest.mark.parametrize("setting", [{"factor": 0.0}, {"factor": -2.0},
-                                         {"strategy": "bogus"}])
+                                         {"strategy": "bogus"}, {"c": 0.0}, {"c": -2.0},
+                                         {"c": "fixed"}, {"c": "bogus"}])
     def test_bad_split_setting_rejected(self, setting):
         with pytest.raises(ValueError):
+            DriverConfig(**setting)
+
+    @pytest.mark.parametrize("setting", [{"c_policy": "posthoc"}, {"c_fixed": 2.0}])
+    def test_c_policy_and_c_fixed_are_gone(self, setting):
+        with pytest.raises(TypeError):
             DriverConfig(**setting)
 
 
@@ -150,7 +156,7 @@ class TestSubsystemTolerances:
     @pytest.mark.parametrize("c_policy", ["fixed", "posthoc"])
     def test_single_system_target_is_the_s_zero_budget(self, monkeypatch, c_policy):
         a = generate_test_matrix("dominant-row", 30, seed=4)
-        cfg = DriverConfig(epsilon=3e-9, c_policy=c_policy, c_fixed=2.5)
+        cfg = DriverConfig(epsilon=3e-9, c=2.5 if c_policy == "fixed" else c_policy)
         tols = []
 
         def recording(apply_op, rhs, x0=None, **kwargs):
@@ -218,14 +224,15 @@ class TestSubsystemTolerances:
 
     @pytest.mark.parametrize("c_policy", [
         pytest.param("fixed", marks=pytest.mark.xfail(
-            strict=True, reason="the default c = 1 is not scale-invariant (ROADMAP item 4)")),
+            strict=True, reason="the default c = 1 is not scale-invariant (ROADMAP item 3)")),
         "posthoc"])
     def test_budget_holds_on_scaled_a(self, c_policy):
         # c = ||(I + V^T W)^{-1} V^T y|| scales as 1 / alpha when A is scaled by
         # alpha: at 1e-3 the default gives a = 135, posthoc a = 0.2 with c = 896
         a = generate_test_matrix("dominant-row", 80, planted_dense_cols=2, seed=7)
         scaled = CscMatrix(a.n_rows, a.n_cols, a.col_ptr, a.row_idx, a.values * 1e-3)
-        assert solve_irregular(scaled, np.ones(80), DriverConfig(c_policy=c_policy)).a <= 1.0
+        cfg = DriverConfig(c=1.0 if c_policy == "fixed" else c_policy)
+        assert solve_irregular(scaled, np.ones(80), cfg).a <= 1.0
 
 
 class TestResidualComposition:
@@ -354,7 +361,7 @@ class TestSolveIrregular:
         # few iterations leave systems stale, so posthoc rounds re-solve them
         a = generate_test_matrix("dominant-row", 40, planted_dense_cols=3, seed=7)
         b = matvec(a, np.ones(40))
-        cfg = DriverConfig(factor=dense_split_factor(a), c_policy="posthoc", max_iter=4)
+        cfg = DriverConfig(factor=dense_split_factor(a), c="posthoc", max_iter=4)
         calls = []
 
         def recording(apply_op, rhs, x0=None, **kwargs):
@@ -394,7 +401,7 @@ class TestSolveIrregular:
     def test_posthoc_policy(self):
         a = generate_test_matrix("dominant-row", 40, planted_dense_cols=2, seed=7)
         b = matvec(a, np.ones(40))
-        cfg = DriverConfig(factor=dense_split_factor(a), c_policy="posthoc")
+        cfg = DriverConfig(factor=dense_split_factor(a), c="posthoc")
         rep = solve_irregular(a, b, cfg)
         assert rep.a < 1.0
         assert rep.posthoc_c is not None
@@ -587,16 +594,16 @@ def test_guard_hits_count_guard_failures_by_type(method):
 
 
 class TestPosthocExits:
-    """The posthoc loop's two early exits keep the first pass's solves."""
+    """The posthoc loop's early exits keep the first pass's solves."""
 
     @pytest.fixture
     def instance(self):
         # few iterations leave systems stale, so a posthoc round would re-solve them
         a = generate_test_matrix("dominant-row", 40, planted_dense_cols=3, seed=7)
         b = matvec(a, np.ones(40))
-        cfg = DriverConfig(factor=dense_split_factor(a), c_policy="posthoc", max_iter=4)
+        cfg = DriverConfig(factor=dense_split_factor(a), c="posthoc", max_iter=4)
         # c = 1, the budget of the posthoc policy's first pass
-        return a, b, cfg, solve_irregular(a, b, replace(cfg, c_policy="fixed"))
+        return a, b, cfg, solve_irregular(a, b, replace(cfg, c=1.0))
 
     @staticmethod
     def assert_first_pass(rep, first_pass):
@@ -616,14 +623,15 @@ class TestPosthocExits:
         monkeypatch.setattr(driver, "_solve_block", recording)
         assert solve_irregular(a, b, cfg).posthoc_c is not None and len(calls) > 1
 
-        def singular(*args, **kwargs):
-            raise np.linalg.LinAlgError("Singular matrix")
+        def singular(*args):
+            raise AssemblyError("assembly system I + V^T W_hat is singular", 1e17)
 
+        # the rounds stop at the first update system; the assembly meets the same one
         calls.clear()
-        monkeypatch.setattr(np.linalg, "solve", singular)
-        rep = solve_irregular(a, b, cfg)
-        assert calls == [4] and rep.posthoc_c is None
-        self.assert_first_pass(rep, first_pass)
+        monkeypatch.setattr(driver, "_update_system", singular)
+        with pytest.raises(AssemblyError, match="singular"):
+            solve_irregular(a, b, cfg)
+        assert calls == [4]
 
     def test_no_stale_system_improves(self, instance, monkeypatch):
         a, b, cfg, first_pass = instance

@@ -14,7 +14,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from saikit import (CscMatrix, LsWorkspace, PsaiConfig, SpaiConfig, generate_test_matrix,
@@ -26,7 +26,7 @@ from saikit.spai import spai
 
 from . import gs_reference, loop_reference
 from .conftest import dense_solution, of_one
-from .test_lstsq_reference import EXCEPTIONS, column_value_difference, ls_programs
+from .test_lstsq_reference import EXCEPTIONS, column_value_difference, ls_program
 
 KINDS = ("dominant-row", "dominant-col", "m-matrix", "irreducible-dd")
 seeds = st.integers(0, 2 ** 31 - 1)
@@ -338,9 +338,10 @@ def assert_bitwise(batch_state, single_state) -> None:
 
 
 @settings(max_examples=150, deadline=None)
-@given(ls_programs())
-def test_batch_matches_targets_solved_alone(program):
-    dense, rng = program
+@given(seeds)
+@example(6768)      # kappa 5.7e6 over the active columns: residual norms 6.28e-10 and 1.64e-10
+def test_batch_matches_targets_solved_alone(seed):
+    dense, rng = ls_program(seed)
     n = dense.shape[0]
     a = CscMatrix.from_dense(dense)
     n_t = int(rng.integers(1, 7))
@@ -376,10 +377,15 @@ def test_batch_matches_targets_solved_alone(program):
                 continue
             assert t not in batch.errors and not isinstance(ref, Exception)
             assert_bitwise(target_state(batch, t), target_state(single, 0))
-            r = ref.residual_norm
-            assert abs(single.residual_norms[0] - r) <= 1e-10 * max(1.0, r)
-            diff = dense_solution(single) - ref.solution().to_dense()
-            assert np.linalg.norm(dense @ diff) <= 1e-10
+            # two backward-stable fits of e_k: their residuals differ by at most
+            # about eps (1 + 2 kappa) ||e_k||, kappa that of the active columns
+            # (Golub & Van Loan, Matrix Computations, sensitivity of least squares)
+            y, y_ref = dense_solution(single), ref.solution().to_dense()
+            active = np.flatnonzero((y != 0) | (y_ref != 0))
+            kappa = np.linalg.cond(dense[:, active]) if len(active) else 1.0
+            tol = 4 * n * np.finfo(float).eps * (1.0 + kappa)
+            assert abs(single.residual_norms[0] - ref.residual_norm) <= tol
+            assert np.linalg.norm(dense @ (y - y_ref)) <= tol
 
     check()
     for _ in range(int(rng.integers(1, 4))):

@@ -18,7 +18,9 @@ column by column with the ``bincount`` kernel, so a change in the bits of
 either the step or the product kernel shows.
 The least-squares kernel solves one-column blocks in closed form where the
 loop ran LAPACK's QR on them, so SPAI and PSAI built on the two must have
-the same pattern and values equal to within rounding.
+the same pattern and values equal to within rounding. The driver's one
+``dgesv`` solve of the update system must match the ``lu_factor`` and
+``lu_solve`` route byte for byte, errors included.
 """
 
 import io
@@ -30,10 +32,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csc_matrix
 
-from saikit import (CscMatrix, DriverConfig, MatrixMarketError, PsaiConfig, SparseVector,
-                    SpaiConfig, bicgstab, generate_test_matrix, matvec,
-                    permute_rows, read_matrix_market, solve_irregular, solve_standard,
-                    spai_profitability, split, zero_free_diagonal_permutation)
+from saikit import (AssemblyError, CscMatrix, DriverConfig, MatrixMarketError, PsaiConfig,
+                    SparseVector, SpaiConfig, assemble_solution, bicgstab,
+                    generate_test_matrix, matvec, permute_rows, read_matrix_market,
+                    solve_irregular, solve_standard, spai_profitability, split,
+                    zero_free_diagonal_permutation)
 from saikit.psai import psai
 from saikit.spai import spai
 from saikit import driver, lstsq
@@ -406,8 +409,8 @@ def test_split_solve_matches_loop_driver(seed, method, c_policy, path, shuffle):
         a = permute_rows(a, rng.permutation(n))
     b = matvec(a, rng.uniform(0.5, 1.5, n))
     # few iterations leave systems stale, so posthoc rounds re-solve them
-    cfg = DriverConfig(method=method, c_policy=c_policy,
-                       c_fixed=float(rng.choice([0.1, 1.0, 10.0])),
+    c_fixed = float(rng.choice([0.1, 1.0, 10.0]))
+    cfg = DriverConfig(method=method, c=c_fixed if c_policy == "fixed" else "posthoc",
                        epsilon=float(rng.choice([1e-6, 1e-10])),
                        max_iter=int(rng.choice([2, 6, 500])),
                        factor=float(rng.choice([10.0, dense_split_factor(a)],
@@ -438,6 +441,50 @@ def test_split_solve_matches_loop_driver(seed, method, c_policy, path, shuffle):
         assert _same(got.posthoc_c, want.posthoc_c)
     strip = lambda stats: {k: v for k, v in stats.items() if k != "t_setup"}
     assert strip(got.preconditioner_stats) == strip(want.preconditioner_stats)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seeds, st.integers(1, 40),
+       st.sampled_from(["random", "singular", "near-singular", "non-finite"]))
+def test_update_system_matches_lu_route(seed, s, kind):
+    # one dgesv against lu_factor + lu_solve, the 1e-14 pivot rule and cond
+    rng = np.random.default_rng(seed)
+    n = s + int(rng.integers(0, 6))
+    irr = np.sort(rng.choice(n, size=s, replace=False))
+    w = rng.standard_normal((n, s)) * 10.0 ** rng.uniform(-3, 3)
+    y = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
+    j, i = rng.integers(s), rng.integers(s)
+    if kind == "singular":                      # column j of I + V^T W is exactly 0
+        w[irr, j] = -np.eye(s)[j]
+    elif kind == "near-singular" and s > 1:     # column j a multiple of column i, plus
+        i = (j + 1 + rng.integers(s - 1)) % s   # noise on both sides of the pivot rule
+        c_mat = np.eye(s) + w[irr, :]
+        noise = 1e-15 * 10.0 ** rng.uniform(0, 2) * np.abs(c_mat[:, i]).max()
+        c_mat[:, j] = rng.choice([-2.0, 0.5, 3.0]) * c_mat[:, i] + noise * rng.standard_normal(s)
+        w[irr, :] = c_mat - np.eye(s)
+    elif kind == "non-finite":
+        w[irr[i], j] = rng.choice([np.inf, -np.inf, np.nan])
+
+    def outcome(fn):
+        try:
+            return fn()
+        except AssemblyError as exc:
+            return exc
+
+    want = outcome(lambda: loop_reference.update_system(y, w, irr))
+    got_z = outcome(lambda: driver._update_system(y, w, irr)[0])
+    got = outcome(lambda: assemble_solution(y, w, irr))
+    if kind in ("singular", "non-finite"):
+        assert isinstance(want, AssemblyError)
+    if isinstance(want, AssemblyError):
+        for exc in (got_z, got):
+            assert (type(exc), str(exc)) == (type(want), str(want))
+            assert _same(exc.cond, want.cond)
+        return
+    z, cond = want
+    assert got_z.tobytes() == z.tobytes()
+    assert got[1] == cond
+    assert got[0].tobytes() == (y - w @ z).tobytes()
 
 
 @settings(max_examples=150, deadline=None)

@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from saikit import (CscMatrix, DegeneratePatternError, PsaiConfig, WorkspaceGuardError,
@@ -331,6 +331,7 @@ def stack_of(blocks: list, p: int, height: int) -> np.ndarray:
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2 ** 31 - 1))
+@example(751)       # an 8 x 8 block whose solution is about 1e57
 def test_stacked_solve_matches_householder(seed):
     rng = np.random.default_rng(seed)
     p = int(rng.integers(2, 9))
@@ -352,8 +353,13 @@ def test_stacked_solve_matches_householder(seed):
             assert y_s.tobytes() == alone[0].tobytes()
             y_h, active = lstsq._householder_solve(block, np.arange(len(block)) == k)
             assert list(active) == list(range(p))
-            # a backward-stable solve's error scales with the condition number
-            tol = 4 * len(block) * np.finfo(float).eps * np.linalg.cond(block) / np.abs(block).max()
+            # two backward-stable least-squares solves differ by the forward-error
+            # bound eps kappa (||y|| + kappa ||r|| / ||block||) (Wedin; Golub & Van
+            # Loan, Matrix Computations, sensitivity of least squares)
+            kappa = np.linalg.cond(block)
+            r_h = np.linalg.norm((np.arange(len(block)) == k) - block @ y_h)
+            tol = (4 * len(block) * np.finfo(float).eps * kappa
+                   * (np.linalg.norm(y_h) + kappa * r_h / np.linalg.norm(block, 2)))
             assert np.abs(y_s - y_h).max() <= tol
 
 

@@ -57,10 +57,8 @@ def assert_same_state(dense: np.ndarray, new, old) -> None:
     assert np.linalg.norm(dense @ diff) <= 1e-10
 
 
-@st.composite
-def ls_programs(draw):
-    """A matrix with planted duplicate and zero columns, and a seeded rng."""
-    seed = draw(st.integers(0, 2 ** 31 - 1))
+def ls_program(seed: int) -> tuple[np.ndarray, np.random.Generator]:
+    """A matrix with planted duplicate and zero columns, and the rng it was drawn from."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(3, 31 if rng.random() < 0.5 else 8))
     density = rng.choice([0.1, 0.25, 0.5])
@@ -74,6 +72,10 @@ def ls_programs(draw):
         dense[:, dst] = dense[:, src] * rng.choice([1.0, -2.0, 0.5])
     dense[:, rng.choice(n, size=int(rng.integers(0, 3)), replace=False)] = 0.0
     return dense, rng
+
+
+def ls_programs():
+    return st.integers(0, 2 ** 31 - 1).map(ls_program)
 
 
 def random_subset(rng, pool: np.ndarray) -> np.ndarray:
